@@ -106,3 +106,41 @@ def test_unsupported_type_raises():
     t = pa.table({"m": pa.array([[(1, 2)]], type=pa.map_(pa.int32(), pa.int32()))})
     with pytest.raises(TypeError):
         encode_table(t)
+
+
+def test_other_block_format_raises_format_error(tmp_path):
+    """A block of another format version (TOKB1 could hold codecs this
+    reader no longer has) fails on its magic with a ValueError naming
+    both formats, from the in-memory and the file header paths."""
+    from tokcodec.blocks import MAGIC, read_header_file
+
+    blob = encode_table(pa.table({"a": [1, 2, 3]}))
+    old = b"TOKB1\x00" + blob[len(MAGIC):]
+    with pytest.raises(ValueError, match="'TOKB1' is not the supported 'TOKB2'"):
+        decode_table(old)
+    path = tmp_path / "old.tokb"
+    path.write_bytes(old)
+    with pytest.raises(ValueError, match="'TOKB1' is not the supported 'TOKB2'"):
+        read_header_file(str(path))
+
+
+def test_codec_summary_renders_every_column_kind():
+    """codec_summary nests child codecs for codec nodes and for list,
+    dictionary-encoded and fixed-size-list columns, lists struct
+    children positionally and leaves validity out."""
+    from tokcodec.blocks import codec_summary
+
+    t = pa.table({
+        "s": pa.array([{"a": 1, "b": "x"}] * 3),
+        "l": pa.array([[1.5], None, [2.0]]),
+        "d": pa.array(["a", "b", "a"]).dictionary_encode(),
+        "f": pa.array([[1, 2], [3, 4], [5, 6]], pa.list_(pa.int8(), 2)),
+        "n": pa.nulls(3),
+    })
+    assert codec_summary(read_header(encode_table(t))) == {
+        "s": "struct(for,dbytes(codes=bp,uvals=fsst(slen=for)))",
+        "l": "list(len=bp,values=fplain)",
+        "d": "dictenc(idx=bp,dict=pbytes(len=for))",
+        "f": "fsl(values=delta(z=for))",
+        "n": "null",
+    }

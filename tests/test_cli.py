@@ -143,7 +143,8 @@ def test_cli_dedup_index(ray_session, tmp_path, capsys):
     )
     idx = str(tmp_path / "idx")
     res = _run(capsys, "dedup", "--input", str(seed), "--index", idx,
-               "--run-id", "seed", "--n-buckets", "8")
+               "--run-id", "seed", "--n-buckets", "8",
+               "--out", str(tmp_path / "seed_acc"))
     assert res["accepted"] == 2  # a (x), b (y); c loses to a
 
     out = str(tmp_path / "acc")
@@ -157,6 +158,31 @@ def test_cli_dedup_index(ray_session, tmp_path, capsys):
 
     res = _run(capsys, "dedup", "--index", idx, "--compact-only")
     assert res["hashes"] == 3  # x, y, z
+
+
+def test_cli_dedup_marks_complete_only_with_out(ray_session, tmp_path, capsys):
+    """A count-only dedup run stays unmarked, so compaction keeps its
+    run-scoped shards and a same-run_id re-run can recover the accepted
+    ids; a run whose accepted rows were written is marked complete."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = tmp_path / "docs.parquet"
+    pq.write_table(pa.table({"doc_id": ["a", "b"], "text": ["x", "y"]}), str(src))
+    idx = str(tmp_path / "idx")
+
+    def completed():
+        with open(os.path.join(idx, "index.json")) as f:
+            return json.load(f).get("completed_runs", [])
+
+    res = _run(capsys, "dedup", "--input", str(src), "--index", idx,
+               "--run-id", "r1", "--n-buckets", "4")
+    assert res["accepted"] == 2 and completed() == []
+    out = str(tmp_path / "acc")
+    res = _run(capsys, "dedup", "--input", str(src), "--index", idx,
+               "--run-id", "r1", "--n-buckets", "4", "--out", out)
+    assert res["accepted"] == 2  # the retry recovers both ids
+    assert completed() == ["r1"]
 
 
 def test_cli_dedup_minhash(ray_session, tmp_path, capsys):

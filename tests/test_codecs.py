@@ -17,8 +17,8 @@ from tokcodec.codecs import (
     encode_int_auto,
     encoded_size,
 )
+from tokcodec.codecs import intcodecs as ic
 from tokcodec.codecs.fsst import decode_fsst, try_fsst
-from tokcodec.codecs.intcodecs import encode_int
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
@@ -68,11 +68,22 @@ def test_int_auto_roundtrip(name):
     assert (dec == arr).all()
 
 
-@pytest.mark.parametrize("codec", ["plain", "bp", "for", "delta", "rle", "dict"])
+_INT_CODECS = {
+    "plain": (ic._enc_plain, ic._dec_plain),
+    "bp": (ic._enc_bitpack, ic._dec_bitpack),
+    "for": (ic._enc_for, ic._dec_for),
+    "delta": (ic._enc_delta, ic._dec_delta),
+    "rle": (ic._enc_rle, ic._dec_rle),
+    "dict": (ic._enc_dict, ic._dec_dict),
+}
+
+
+@pytest.mark.parametrize("codec", list(_INT_CODECS))
 def test_int_forced_codec_roundtrip(codec):
     rng = np.random.default_rng(3)
     arr = rng.integers(0, 50, 10000).astype(np.int32)
-    dec = decode_int(encode_int(arr, codec))
+    enc_fn, dec_fn = _INT_CODECS[codec]
+    dec = dec_fn(enc_fn(arr))
     assert dec.dtype == arr.dtype and (dec == arr).all()
 
 
@@ -121,42 +132,8 @@ def test_int_byte_plane_split_roundtrip_and_selection():
         assert _est_z(auto) <= _est_z(_enc_bitpack(zipf))
 
 
-def test_int_vrank_roundtrip_and_selection():
-    from tokcodec.codecs.intcodecs import _dec_vrank, _enc_vrank, _est_z
-
-    rng = np.random.default_rng(29)
-    zipf = np.minimum(rng.zipf(1.3, 200000), 50256).astype(np.int64)
-    for a in (
-        zipf,                                                  # token shape
-        rng.integers(0, 300, 50000).astype(np.int64),          # small vocab
-        np.minimum(rng.zipf(1.1, 50000), (1 << 21) - 1).astype(np.int64),  # u4 ext
-        np.repeat(np.arange(300, dtype=np.int64), 5),          # every rank escapes
-    ):
-        e = _enc_vrank(a)
-        assert e is not None
-        d = _dec_vrank(e)
-        assert d.dtype == a.dtype and (d == a).all()
-    # guards: negative, tiny, constant, out-of-bound values
-    assert _enc_vrank(np.array([-1, 5] * 2000, dtype=np.int64)) is None
-    assert _enc_vrank(np.array([5, 7], dtype=np.int64)) is None
-    assert _enc_vrank(np.full(5000, 9, dtype=np.int64)) is None
-    assert _enc_vrank(np.array([0, 1 << 40] * 2000, dtype=np.int64)) is None
-    # zipf token ids (large array): auto must pick the sampled-rank vtop
-    # through the full-array trial (the sampled stage alone would reject
-    # the rank family) and beat bps by >=5%
-    from tokcodec.codecs.intcodecs import _enc_bps
-
-    auto = encode_int_auto(zipf)
-    assert auto["c"] == "vtop"
-    assert (decode_int(auto) == zipf).all()
-    assert _est_z(auto) < 0.95 * _est_z(_enc_bps(zipf))
-    # deterministic across calls (byte-identical resume)
-    e1, e2 = encode_int_auto(zipf), encode_int_auto(zipf)
-    assert all((p1 == p2).all() for p1, p2 in zip(e1["p"], e2["p"]))
-
-
 def test_int_vtop_roundtrip_and_guards():
-    from tokcodec.codecs.intcodecs import _dec_vtop, _enc_vtop
+    from tokcodec.codecs.intcodecs import _dec_vtop, _enc_bps, _enc_vtop, _est_z
 
     rng = np.random.default_rng(31)
     for a in (
@@ -166,6 +143,9 @@ def test_int_vtop_roundtrip_and_guards():
         rng.integers(100, 200, 50000).astype(np.int64),             # ew=1 span
         np.minimum(rng.zipf(1.1, 50000), (1 << 21) - 1).astype(np.int64),  # ew=4
         np.repeat(np.arange(3000, dtype=np.int64), 5),              # heavy escape
+        np.repeat(np.arange(300, dtype=np.int64), 5),        # all counts tie
+        np.repeat(np.arange(511, dtype=np.int64), 3),        # 256-value tail:
+        #   the one-byte tail index at its limit
         np.concatenate([np.arange(2_200_000, dtype=np.int64) % 2,  # values unseen
                         np.arange(1000, dtype=np.int64) + 7]),     # by the 2M sample
         np.repeat(np.arange(100, dtype=np.int32), 20),      # <=255 uniques: ne=0,
@@ -184,10 +164,34 @@ def test_int_vtop_roundtrip_and_guards():
     assert _enc_vtop(np.array([5, 7], dtype=np.int64)) is None
     assert _enc_vtop(np.full(5000, 9, dtype=np.int64)) is None
     assert _enc_vtop(np.array([0, 1 << 40] * 2000, dtype=np.int64)) is None
-    # deterministic across calls (byte-identical resume)
+    # an exact tail of at most 256 values is indexed in one byte
+    assert "tail" in _enc_vtop(np.repeat(np.arange(511, dtype=np.int64), 3))["k"]
+    assert "tail" not in _enc_vtop(np.repeat(np.arange(512, dtype=np.int64), 3))["k"]
+    assert "tail" not in _enc_vtop(np.repeat(np.arange(200, dtype=np.int64) * 9, 9))["k"]
+    # zipf token ids (large array): auto must pick vtop through the
+    # full-array trial (the sampled stage alone would reject it) and beat
+    # bps by >=5%
     zipf = np.minimum(rng.zipf(1.3, 200000), 50256).astype(np.int64)
-    e1, e2 = _enc_vtop(zipf), _enc_vtop(zipf)
-    assert all((p1 == p2).all() for p1, p2 in zip(e1["p"], e2["p"]))
+    auto = encode_int_auto(zipf)
+    assert auto["c"] == "vtop"
+    assert (decode_int(auto) == zipf).all()
+    assert _est_z(auto) < 0.95 * _est_z(_enc_bps(zipf))
+    # deterministic across calls (byte-identical resume)
+    for e1, e2 in ((_enc_vtop(zipf), _enc_vtop(zipf)),
+                   (encode_int_auto(zipf), encode_int_auto(zipf))):
+        assert all((p1 == p2).all() for p1, p2 in zip(e1["p"], e2["p"]))
+
+
+def test_small_zipf_array_encodes_as_vtop():
+    """At or below the sampled-selection size (4 * SAMPLE) the whole
+    array is vtop's sample, so its top-255 set is exact and vtop competes
+    in the plain all-candidate trial."""
+    rng = np.random.default_rng(37)
+    for n in (8192, 4 * ic.SAMPLE):
+        a = np.minimum(rng.zipf(1.3, n), 50256).astype(np.int32)
+        enc = encode_int_auto(a)
+        assert enc["c"] == "vtop"
+        assert decode_int(enc).dtype == a.dtype and (decode_int(enc) == a).all()
 
 
 def test_float_bss_roundtrip_and_selection():

@@ -129,3 +129,29 @@ def test_token_bin_sliced_offsets(tmp_path):
     assert res == [{"shard": "shard-00000-000", "docs": 2, "tokens": 3}]
     got = dict(iter_token_bin(str(tmp_path)))
     assert np.array_equal(got["b"], [4]) and np.array_equal(got["c"], [5, 6])
+
+
+def test_token_bin_rejects_non_list_tokens(tmp_path):
+    """A tokens column that is not a variable-length list (fixed-size
+    list, plain ints) gets the contract ValueError, not AttributeError."""
+
+    class Ctx:
+        task_idx = 0
+
+    sink = TokenBinDatasink(str(tmp_path))
+    sink.on_write_start()
+    for toks in (pa.array([[1, 2], [3, 4]], pa.list_(pa.int32(), 2)),
+                 pa.array([1, 2], pa.int32())):
+        t = pa.table({"doc_id": pa.array(["a", "b"]), "tokens": toks})
+        with pytest.raises(ValueError, match="list<int32>"):
+            sink.write([t], Ctx())
+
+
+def test_token_bin_write_start_clears_stale_markers(tmp_path):
+    """A re-export into a dir whose earlier export failed before writing
+    any shard must not end up holding both _FAILED and _SUCCESS."""
+    for marker in ("_SUCCESS", "_FAILED"):
+        (tmp_path / marker).write_text("old run")
+    TokenBinDatasink(str(tmp_path)).on_write_start()
+    assert not (tmp_path / "_SUCCESS").exists()
+    assert not (tmp_path / "_FAILED").exists()

@@ -443,6 +443,19 @@ def test_media_real_path_with_pil():
     assert f.shape == (8,) and (f >= 0).all() and (f < 1).all()
 
 
+def test_extract_features_defaults_to_pinned_fake():
+    """Library callers on defaults get the same feature values whether
+    or not PIL is installed: the auto-probe is opt-in."""
+
+    class Recorder:
+        def map_batches(self, fn, **kw):
+            self.kw = kw
+            return self
+
+    ds = multimodal.extract_features(Recorder(), dim=8)
+    assert ds.kw["fn_constructor_kwargs"] == {"dim": 8, "real": False}
+
+
 def test_fake_features_deterministic():
     f1 = multimodal.fake_decode_features(b"payload", dim=8)
     f2 = multimodal.fake_decode_features(b"payload", dim=8)

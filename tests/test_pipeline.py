@@ -5,7 +5,10 @@ partitioning, resume semantics, streaming variant (SURVEY.md §7 steps 1,
 from __future__ import annotations
 
 import os
+import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -386,9 +389,57 @@ def test_manifest_records_codec_choices(encoded):
     assert mans and all("codecs" in m for m in mans)
     c0 = mans[0]["codecs"]
     assert set(c0) == {"doc_id", "tokens", "n_tok", "source"}
-    assert c0["tokens"].startswith("list(")
-    known = {"plain", "bp", "for", "delta", "rle", "dict", "fsst", "pbytes", "dbytes", "fdict", "fplain", "fbss", "bps", "vrank", "vtop"}
-    assert c0["source"] in known and c0["n_tok"] in known
+    assert c0["tokens"].startswith("list(len=")
+    known = {"plain", "bp", "for", "delta", "rle", "dict", "fsst", "pbytes", "dbytes",
+             "fdict", "fplain", "fbss", "bps", "vtop", "list"}
+    for m in mans:
+        for tree in m["codecs"].values():
+            # codec names are the words not followed by "=" (child keys are)
+            assert set(re.findall(r"(\w+)(?![\w=])", tree)) <= known, tree
+
+
+def test_manifest_codecs_show_nested_choices(encoded):
+    """The manifest names the codecs chosen INSIDE other codecs: the
+    token values' vtop and its value table, the string columns' length
+    and dictionary-code codecs, FSST inside a dictionary."""
+    from tokcodec import manifest as mf
+
+    _src, out, _res = encoded
+    assert mf.list_manifests(out)[0]["codecs"] == {
+        "doc_id": "pbytes(len=for)",
+        "tokens": "list(len=bps,values=vtop(values=delta(z=for)))",
+        "n_tok": "bps",
+        "source": "dbytes(codes=bp,uvals=fsst(slen=for))",
+    }
+
+
+def test_plan_fingerprint_tracks_block_format(fixture_parquet):
+    """The plan records the block format, so an encode dir of another
+    format gets a new fingerprint and is re-encoded on resume."""
+    from tokcodec.blocks import MAGIC
+
+    cfg = plan_partitions(fixture_parquet, target_tokens=TARGET, parallel=False)["config"]
+    assert cfg["format"] == "TOKB2" and MAGIC.startswith(cfg["format"].encode())
+
+
+def test_write_fixture_dir_runs_in_one_cpu_session(tmp_path):
+    """The Ray path of write_fixture_dir must schedule in a 1-CPU session
+    (a 2-CPU task request never would) and write the serial path's bytes."""
+    serial, par = tmp_path / "serial", tmp_path / "ray1"
+    code = (
+        "import ray\n"
+        "from tokcodec.synth import write_fixture_dir\n"
+        f"write_fixture_dir({str(serial)!r}, n_rows=300, chunk_rows=100)\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False, logging_level='ERROR')\n"
+        f"write_fixture_dir({str(par)!r}, n_rows=300, chunk_rows=100)\n"
+        "ray.shutdown()\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", code], cwd=repo, timeout=240, check=True)
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(par)) and len(names) == 4  # 3 chunks + _SUCCESS
+    for n in names:
+        assert (serial / n).read_bytes() == (par / n).read_bytes()
 
 
 def test_encode_actor_pool_byte_identical(ray_session, fixture_parquet, tmp_path):

@@ -46,7 +46,7 @@ def test_int_roundtrip_property(dt, data):
 )
 def test_int_roundtrip_large_sampled_path(seed, n, shape):
     """Push the SAMPLED selection branch (n > 4*SAMPLE) and the
-    vrank/bps full-array trials: every distribution shape must
+    vtop/bps full-array trials: every distribution shape must
     round-trip exactly whatever codec wins."""
     rng = np.random.default_rng(seed)
     if shape == "zipf":

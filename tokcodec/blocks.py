@@ -35,11 +35,15 @@ from tokcodec.codecs.intcodecs import _node
 from tokcodec.codecs.util import zstd_lazy
 from tokcodec.projection import Projection, project_schema, resolve_path
 
-MAGIC = b"TOKB1\x00"
+# Format version: bump on any change a reader of the old format cannot
+# decode (a new or removed codec, a layout change).  Readers accept only
+# this exact magic, and plan fingerprints include it, so an encode dir of
+# an older format is re-encoded on resume, never mixed.
+MAGIC = b"TOKB2\x00"
 _ZSTD_MIN = 128  # don't bother compressing tiny segments
 # Probe-gate full-segment zstd: segments over this size first compress a
 # 64 KB prefix and skip the full pass when the prefix barely compresses
-# (ratio > 0.96).  High-entropy payloads (vtop/vrank escape values, bps
+# (ratio > 0.96).  High-entropy payloads (vtop escape values, bps
 # low-byte planes) are ~15-20% of a token partition's bytes and always
 # land above the 0.98 keep threshold anyway — the probe costs ~0.1 ms
 # where the discarded full compress cost ~2 ms/partition.  Borderline
@@ -49,7 +53,6 @@ _ZSTD_MIN = 128  # don't bother compressing tiny segments
 # (raw=0 segments are stored verbatim either way).
 _ZSTD_PROBE_MIN = 1 << 19
 _ZSTD_PROBE_BYTES = 1 << 16
-_zstd_lazy = zstd_lazy
 
 _INT_TYPES = {
     pa.int8(),
@@ -495,7 +498,7 @@ def encode_table(
     for p in segments:
         raw = 0
         if zstd and len(p) >= _ZSTD_MIN:
-            z = _zstd_lazy.get()
+            z = zstd_lazy.get()
             skip = False
             if len(p) >= _ZSTD_PROBE_MIN:
                 pref = p[:_ZSTD_PROBE_BYTES]
@@ -524,36 +527,37 @@ def encode_table(
 def codec_summary(header: dict) -> dict:
     """Per-column codec-choice summary from a block header (for the
     manifest's 'which codec won' record, SURVEY.md §7 step 3): column
-    name → compact tree like 'for' / 'fsst' / 'list(len=for,values=bp)'."""
+    name → compact tree naming every nested codec, like 'for',
+    'dbytes(codes=bp,uvals=fsst(slen=for))' or
+    'list(len=delta(z=for),values=vtop(values=for))'."""
 
     def walk(enc: dict) -> str:
-        k = enc.get("k", {})
-        if enc["c"] == "col":
-            kind = enc["m"].get("kind")
-            if kind == "list":
-                return f"list(len={walk(k['len'])},values={walk(k['values'])})"
-            if kind == "fsl":
-                return f"fsl(values={walk(k['values'])})"
-            if kind == "dictenc":
-                return f"dictenc(idx={walk(k['idx'])},dict={walk(k['dict'])})"
-            if kind == "null":
-                return "null"
-            if kind == "struct":
+        k = {name: ch for name, ch in enc["k"].items() if name != "valid"}
+        name = enc["c"]
+        if name == "col":
+            if "data" in k:
+                return walk(k["data"])
+            name = enc["m"]["kind"]
+            if name == "struct":
                 # positional child keys f0..fN: iterate numerically (a
                 # lexicographic sort misorders f10 before f2)
-                inner = ",".join(
-                    walk(k[f"f{i}"]) for i in range(enc["m"]["nf"])
-                )
-                return f"struct({inner})"
-            return walk(k["data"]) if "data" in k else enc["c"]
-        return enc["c"]
+                return "struct(" + ",".join(walk(k[f"f{i}"]) for i in range(enc["m"]["nf"])) + ")"
+        if not k:
+            return name
+        return f"{name}(" + ",".join(f"{n}={walk(ch)}" for n, ch in k.items()) + ")"
 
     return {c["name"]: walk(c["enc"]) for c in header["columns"]}
 
 
+def _check_magic(prefix: bytes, where: str) -> None:
+    found = bytes(prefix[: len(MAGIC)])
+    if found != MAGIC:
+        got, want = (m.rstrip(b"\0").decode("latin-1") for m in (found, MAGIC))
+        raise ValueError(f"{where}: block format {got!r} is not the supported {want!r}")
+
+
 def read_header(blob: bytes) -> dict:
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError("not a TOKB block")
+    _check_magic(blob, "block")
     hlen = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "little")
     return json.loads(blob[len(MAGIC) + 8 : len(MAGIC) + 8 + hlen].decode())
 
@@ -563,8 +567,7 @@ def read_header_file(path: str) -> dict:
     never the payload — the cheap first step of predicate-pruned decode."""
     with open(path, "rb") as f:
         prefix = f.read(len(MAGIC) + 8)
-        if prefix[: len(MAGIC)] != MAGIC:
-            raise ValueError(f"not a TOKB block: {path}")
+        _check_magic(prefix, path)
         hlen = int.from_bytes(prefix[len(MAGIC) :], "little")
         return json.loads(f.read(hlen).decode())
 
@@ -686,7 +689,7 @@ def decode_table(blob: bytes, columns: list[str] | None = None) -> tuple[pa.Tabl
         s = segs[i]
         raw = mv[base + s["o"] : base + s["o"] + s["l"]]
         if s["raw"]:
-            return _zstd_lazy.get().decompress(raw, decompressed_size=s["raw"], asbytes=True)
+            return zstd_lazy.get().decompress(raw, decompressed_size=s["raw"], asbytes=True)
         return raw
 
     schema = pa.ipc.read_schema(

@@ -284,7 +284,9 @@ def cmd_dedup(args) -> int:
     """Incremental dedup of a parquet batch against a persisted hash
     index (functions/incdedup.py): --method exact (fnv128 content
     hashes) or minhash (near-duplicate band keys); --compact-only
-    folds the index's per-run shard files instead."""
+    folds the index's per-run shard files instead.  Only a run whose
+    accepted rows were written with --out is marked complete (and so
+    becomes foldable)."""
     from tokcodec.functions.incdedup import (
         compact_index,
         dedup_against_index,
@@ -320,11 +322,12 @@ def cmd_dedup(args) -> int:
         acc = acc.materialize()
         acc.write_parquet(args.out)
     n_acc = acc.count()
-    if not args.no_update:
-        # output is durably consumed (written and/or counted): the run
-        # will never need a same-run_id retry, so it is now safe for
-        # compact_index to fold — a crash BEFORE this line leaves the
-        # run unmarked and the retry contract intact
+    if args.out and not args.no_update:
+        # the accepted rows are durably written: the run will never need
+        # a same-run_id retry, so it is now safe for compact_index to
+        # fold.  A count-only run (no --out) stays unmarked, so a
+        # same-run_id re-run can still recover its accepted ids; a crash
+        # BEFORE this line likewise leaves the retry contract intact
         mark_run_complete(args.index, args.run_id)
     print(
         json.dumps(

@@ -18,21 +18,12 @@ from __future__ import annotations
 
 from tokcodec.codecs.intcodecs import (  # noqa: F401
     decode_int,
-    encode_int,
     encode_int_auto,
+    encoded_size,
     decode_float,
     encode_float_auto,
 )
 from tokcodec.codecs.bytescodecs import (  # noqa: F401
     decode_bytes,
-    encode_bytes,
     encode_bytes_auto,
 )
-
-
-def encoded_size(enc: dict) -> int:
-    """Total payload bytes of a codec tree (header overhead excluded)."""
-    total = sum(len(p) for p in enc.get("p", ()))
-    for child in enc.get("k", {}).values():
-        total += encoded_size(child)
-    return total

@@ -15,8 +15,6 @@ from tokcodec.codecs.fsst import decode_fsst, table_of, try_fsst
 from tokcodec.codecs.intcodecs import _best_int, _est_z, _node, decode_int
 from tokcodec.codecs.util import _PA_TYPES, arr_to_np, np_to_arr, type_name
 
-_type_name = type_name  # back-compat alias
-
 # FSST is worthwhile on short-ish strings; guard against pathological
 # per-string loop counts on huge documents (SURVEY.md §7 hard parts).
 FSST_MAX_AVG_LEN = 512
@@ -31,7 +29,7 @@ def _enc_plain_bytes(arr: pa.Array) -> dict:
         "pbytes",
         {"pa": type_name(arr.type), "n": len(arr)},
         [np.ascontiguousarray(data)],
-        {"len": _best_int(lengths, allow_delta=False)},
+        {"len": _best_int(lengths)},
     )
 
 
@@ -70,9 +68,7 @@ def _dec_dict_bytes(enc: dict) -> pa.Array:
 # ---------------------------------------------------------- auto select ----
 
 
-def encode_bytes_auto(arr: pa.Array, choice: str | None = None) -> dict:
-    if choice is not None:
-        return encode_bytes(arr, choice)
+def encode_bytes_auto(arr: pa.Array) -> dict:
     n = len(arr)
     if n <= 4096:
         # small array: the "sample" is the whole array — return the winner
@@ -115,17 +111,7 @@ def encode_bytes_auto(arr: pa.Array, choice: str | None = None) -> dict:
     if best == "fsst":
         enc = try_fsst(arr, table=table_of(fs))  # reuse the sample-built table
         return enc if enc is not None else _enc_dict_bytes(arr)
-    return encode_bytes(arr, {"pbytes": "plain", "dbytes": "dict"}[best])
-
-
-def encode_bytes(arr: pa.Array, codec: str) -> dict | None:
-    if codec == "plain":
-        return _enc_plain_bytes(arr)
-    if codec == "dict":
-        return _enc_dict_bytes(arr)
-    if codec == "fsst":
-        return try_fsst(arr)
-    raise KeyError(codec)
+    return _enc_plain_bytes(arr) if best == "pbytes" else _enc_dict_bytes(arr)
 
 
 def decode_bytes(enc: dict) -> pa.Array:

@@ -237,7 +237,7 @@ def try_fsst(arr: pa.Array, table: list[bytes] | None = None) -> dict | None:
             "sl": [int(x) for x in sym_lens],
         },
         [table_blob, np.ascontiguousarray(stream)],
-        {"slen": _best_int(slen, allow_delta=False)},
+        {"slen": _best_int(slen)},
     )
 
 

@@ -1,5 +1,6 @@
 """Integer (and float) codecs: plain, bit-pack, frame-of-reference, delta,
-RLE, dictionary — each with encode/decode and a sampled-size auto-selector.
+RLE, dictionary, byte-plane split and top-value rank remap — each with
+encode/decode — plus a sampled-size auto-selector.
 
 All intermediates are int64/uint64 so int32 token ids can't overflow
 (SURVEY.md §7 "hard parts": dtype discipline for bit-identical decode).
@@ -63,6 +64,24 @@ def _dec_bitpack(enc: dict) -> np.ndarray:
 # ----------------------------------------------------- frame of reference ----
 
 
+def _add_ref(vals: np.ndarray, target: np.dtype, ref: int) -> np.ndarray:
+    """Widen non-negative offsets ONCE straight into the target dtype and
+    add the frame reference.  ref + offset wraps mod 2^bits in the
+    target's width, which is exact because the results ARE the original
+    target-dtype values."""
+    out = vals.astype(target, copy=False)
+    if ref:
+        if out is vals or not out.flags.writeable:
+            out = out.copy()
+        # array-cast the ref (silent mod-2^N wrap): target.type(negative)
+        # on an unsigned target deprecation-warns on numpy 1.x and raises
+        # on numpy 2.x — e.g. uint64 columns with values >= 2^63
+        ref_t = np.array(ref, dtype=np.int64).astype(target, copy=False)
+        with np.errstate(over="ignore"):
+            out += ref_t
+    return out
+
+
 def _enc_for(arr: np.ndarray) -> dict:
     if len(arr) == 0:
         return _node("for", {"dt": arr.dtype.str, "n": 0, "ref": 0, "b": 0})
@@ -81,24 +100,10 @@ def _dec_for(enc: dict) -> np.ndarray:
     m = enc["m"]
     if m["n"] == 0:
         return np.empty(0, dtype=np.dtype(m["dt"]))
-    target = np.dtype(m["dt"])
-    # unpack at the natural narrow width, widen ONCE straight into the
-    # target dtype (no uint64 intermediate — that was 3x the memory
-    # traffic for int32 tokens).  ref + delta wraps mod 2^bits in the
-    # target's width, which is exact because the results ARE the
-    # original target-dtype values.
+    # unpack at the natural narrow width (no uint64 intermediate — that
+    # was 3x the memory traffic for int32 tokens)
     deltas = bitpack.unpack(enc["p"][0], m["b"], m["n"], dtype=None)
-    out = deltas.astype(target, copy=False)
-    if m["ref"]:
-        if out is deltas or not out.flags.writeable:
-            out = out.copy()
-        # array-cast the ref (silent mod-2^N wrap): target.type(negative)
-        # on an unsigned target deprecation-warns on numpy 1.x and raises
-        # on numpy 2.x — e.g. uint64 columns with values >= 2^63
-        ref_t = np.array(m["ref"], dtype=np.int64).astype(target, copy=False)
-        with np.errstate(over="ignore"):
-            out += ref_t
-    return out
+    return _add_ref(deltas, np.dtype(m["dt"]), m["ref"])
 
 
 # ---------------------------------------------------------------- delta ----
@@ -151,7 +156,7 @@ def _enc_rle(arr: np.ndarray) -> dict:
         "rle",
         {"dt": arr.dtype.str, "n": len(arr)},
         k={
-            "v": _best_int(vals, allow_rle=False, allow_dict=False, allow_vrank=False),
+            "v": _best_int(vals, allow_rle=False, allow_dict=False, allow_vtop=False),
             # run length >= 1 always; store length-1 for tighter bit width
             "l": _enc_for(lengths - 1),
         },
@@ -175,8 +180,8 @@ def _enc_dict(arr: np.ndarray) -> dict:
         "dict",
         {"dt": arr.dtype.str, "n": len(arr)},
         k={
-            "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vrank=False),
-            "values": _best_int(uniq, allow_dict=False, allow_rle=False, allow_vrank=False),
+            "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
+            "values": _best_int(uniq, allow_dict=False, allow_rle=False, allow_vtop=False),
         },
     )
 
@@ -188,6 +193,21 @@ def _dec_dict(enc: dict) -> np.ndarray:
 
 
 # ------------------------------------------------------ byte-plane split ----
+
+
+def _split_planes(vals: np.ndarray) -> list[np.ndarray]:
+    """One contiguous uint8 payload per byte of a fixed-width array, in
+    little-endian byte order (plane 0 = least significant byte)."""
+    b2 = np.ascontiguousarray(vals).view(np.uint8).reshape(len(vals), vals.dtype.itemsize)
+    return [np.ascontiguousarray(b2[:, i]) for i in range(b2.shape[1])]
+
+
+def _join_planes(planes: list, n: int, w: int) -> np.ndarray:
+    """Inverse of ``_split_planes``: n little-endian ``uint{8w}`` values."""
+    b2 = np.empty((n, w), dtype=np.uint8)
+    for i, p in enumerate(planes):
+        b2[:, i] = np.frombuffer(p, dtype=np.uint8)[:n]
+    return b2.reshape(-1).view(np.dtype(f"<u{w}"))
 
 
 def _enc_bps(arr: np.ndarray) -> dict | None:
@@ -209,114 +229,46 @@ def _enc_bps(arr: np.ndarray) -> dict | None:
     if bits <= 8:
         return None  # single plane == FoR at 8 bits; no split to exploit
     w = bitpack._narrow_uint(bits).itemsize
-    cast = deltas.astype(np.dtype(f"<u{w}"), copy=False)
-    b2 = np.ascontiguousarray(cast).view(np.uint8).reshape(n, w)
-    planes = [np.ascontiguousarray(b2[:, i]) for i in range(w)]
+    planes = _split_planes(deltas.astype(np.dtype(f"<u{w}"), copy=False))
     return _node("bps", {"dt": arr.dtype.str, "n": n, "ref": ref, "w": w}, planes)
 
 
 def _dec_bps(enc: dict) -> np.ndarray:
     m = enc["m"]
-    target = np.dtype(m["dt"])
-    n, w = m["n"], m["w"]
-    b2 = np.empty((n, w), dtype=np.uint8)
-    for i, p in enumerate(enc["p"]):
-        b2[:, i] = np.frombuffer(p, dtype=np.uint8)[:n]
-    cast = b2.reshape(-1).view(np.dtype(f"<u{w}"))[:n]
-    out = cast.astype(target, copy=False)
-    if m["ref"]:
-        if out is cast or not out.flags.writeable:
-            out = out.copy()
-        ref_t = np.array(m["ref"], dtype=np.int64).astype(target, copy=False)
-        with np.errstate(over="ignore"):
-            out += ref_t
-    return out
+    return _add_ref(_join_planes(enc["p"], m["n"], m["w"]), np.dtype(m["dt"]), m["ref"])
 
 
-# ------------------------------------------------- variable-length rank ----
+# --------------------------------------------------- top-value rank remap ----
 
-_VRANK_MAX = 1 << 22  # bincount bound: token vocabularies, ids, categories
-_VRANK_ESC = 255
-
-
-def _enc_vrank(arr: np.ndarray) -> dict | None:
-    """Escape-coded frequency rank: remap values to their per-partition
-    frequency rank (0 = most common), store ``min(rank, 255)`` as a
-    1-byte stream and ``rank - 255`` for escaped values as two byte
-    planes, plus the rank-ordered value table.  For zipf-ish token ids
-    the top-255 ranks cover ~80% of positions, so most tokens cost ONE
-    pre-zstd byte whose Huffman code then approaches its true
-    probability — measured 1.074 -> 0.966 B/token on the bench corpus,
-    within 1.7% of the zero-order entropy floor (0.949).  Rank order is
-    deterministic (stable argsort on counts over value-sorted uniques)
-    so resumes stay byte-identical."""
-    n = len(arr)
-    if n < 1024:
-        return None
-    a64 = arr.astype(np.int64, copy=False)
-    lo = int(a64.min())
-    if lo < 0 or int(a64.max()) >= _VRANK_MAX:
-        return None
-    cnt = np.bincount(a64)
-    uniq = np.flatnonzero(cnt)
-    if len(uniq) <= 1:
-        return None  # constant column: rle/dict territory
-    order = np.argsort(-cnt[uniq], kind="stable")  # ties: smaller value first
-    rank_of = np.full(len(cnt), -1, dtype=np.int64)
-    rank_of[uniq[order]] = np.arange(len(uniq))
-    # the hot gather runs over a vocab-sized uint8 LUT (min(rank,255)),
-    # not the int64 rank table — 8x less gather traffic on the n-sized
-    # pass; the escaped minority re-gathers through the full table
-    lut8 = np.minimum(rank_of, _VRANK_ESC).astype(np.uint8)
-    b0 = lut8[a64]
-    esc = b0 == _VRANK_ESC
-    # np.compress beats boolean fancy-indexing ~1.7x on this extraction
-    # (numpy's a[mask] path re-counts and re-scans the mask)
-    ext = (rank_of[np.compress(esc, a64)] - _VRANK_ESC).astype(np.uint32)
-    if len(uniq) - _VRANK_ESC <= 1 << 16:
-        eb = np.ascontiguousarray(ext.astype("<u2")).view(np.uint8).reshape(len(ext), 2)
-    else:
-        eb = np.ascontiguousarray(ext.astype("<u4")).view(np.uint8).reshape(len(ext), 4)
-    planes = [b0] + [np.ascontiguousarray(eb[:, i]) for i in range(eb.shape[1])]
-    return _node(
-        "vrank",
-        {"dt": arr.dtype.str, "n": n, "ne": len(ext), "ew": eb.shape[1]},
-        planes,
-        k={"values": _best_int(uniq[order].astype(np.int64), allow_dict=False, allow_vrank=False)},
-    )
-
-
+_VTOP_MAX = 1 << 22  # bincount bound: token vocabularies, ids, categories
+_VTOP_ESC = 255
 _VTOP_SAMPLE = 1 << 21  # prefix rows used to pick the top-255 value set
 
 
 def _enc_vtop(arr: np.ndarray) -> dict | None:
-    """Sampled top-value remap — the large-array sibling of ``vrank``.
-
-    vrank's exact frequency ranking needs a full-array bincount plus a
-    rank re-gather for the escaped minority (~55% of encode core time on
-    token columns).  vtop instead picks the top-255 VALUES from a
-    deterministic 2M-row prefix sample (for zipf-shaped columns the
-    top-255 set is stable at that sample size) and stores the escaped
-    minority as raw values minus the column min, byte-plane split so the
-    container zstd squeezes the near-constant high planes.  The encode
-    therefore makes exactly one O(n) LUT gather plus one gather over the
-    escaped ~20%; only the 2M-row sample is counted.  Rank order inside
-    the top set still follows (count desc, value asc) on the sample, so
-    byte-plane entropy matches vrank's on the kept majority; the escaped
-    tail loses the rank canonicalization, which measured <0.1% of block
-    size on the bench corpus (escaped values are the rare tail either
-    way).  Deterministic (prefix sample, stable argsort) so resumed runs
-    re-encode byte-identically."""
+    """Escape-coded top-value remap: the 255 most frequent values (counted
+    on a deterministic 2M-row prefix; below that the whole array, so the
+    set is exact) become a 1-byte rank stream, and every other position
+    stores byte 255 plus its raw value minus the column min in byte
+    planes, so the container zstd squeezes the near-constant high planes
+    (or, for a small exact tail, its one-byte index into that tail).
+    For zipf-ish token ids the top-255 cover ~80% of positions, so most
+    tokens cost ONE pre-zstd byte whose Huffman code approaches its true
+    probability — within ~2% of the zero-order entropy floor on the bench
+    corpus.  The encode makes one O(n) LUT gather plus one gather over the
+    escaped minority; only the sample is counted.  Rank order inside the
+    top set follows (count desc, value asc) on the sample with a stable
+    argsort, so resumed runs re-encode byte-identically."""
     n = len(arr)
     if n < 1024:
         return None
     lo = int(arr.min())
     hi = int(arr.max())
-    if lo < 0 or hi >= _VRANK_MAX:
+    if lo < 0 or hi >= _VTOP_MAX:
         return None
     samp = arr[:_VTOP_SAMPLE] if n > _VTOP_SAMPLE else arr
     # bincount refuses uint64 (not safely castable to intp); values are
-    # already bounded by _VRANK_MAX, so an int64 view of the sample is safe
+    # already bounded by _VTOP_MAX, so an int64 view of the sample is safe
     if samp.dtype == np.uint64:
         samp = samp.astype(np.int64)
     cnt = np.bincount(samp, minlength=hi + 1)
@@ -324,8 +276,8 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
     if len(uniq) <= 1:
         return None  # constant column: rle/dict territory
     order = np.argsort(-cnt[uniq], kind="stable")  # ties: smaller value first
-    top = uniq[order[:_VRANK_ESC]].astype(np.int64)
-    lut8 = np.full(hi + 1, _VRANK_ESC, dtype=np.uint8)
+    top = uniq[order[:_VTOP_ESC]].astype(np.int64)
+    lut8 = np.full(hi + 1, _VTOP_ESC, dtype=np.uint8)
     lut8[top] = np.arange(len(top), dtype=np.uint8)
     # Arrow kernels for the two O(n) passes: pc.take indexes the 256-entry
     # LUT with the array's NATIVE dtype (numpy's lut8[arr] first stages an
@@ -339,23 +291,32 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
     # NB: the comparison scalar must be TYPED (uint8) — a bare Python int
     # makes pc.equal promote the whole column and costs 16x (90ms vs 5.5ms
     # on a 16M block)
-    esc_mask = pc.equal(b0_pa, pa.scalar(_VRANK_ESC, pa.uint8()))
+    esc_mask = pc.equal(b0_pa, pa.scalar(_VTOP_ESC, pa.uint8()))
     ext = pc.filter(arr_pa, esc_mask).to_numpy(
         zero_copy_only=True
-    )  # native-width gather of the escaped ~20%
-    if lo:
-        ext = ext - arr.dtype.type(lo)
-    ne = len(ext)
+    )  # native-width gather of the escaped minority
+    k = {"values": _best_int(top, allow_dict=False)}
+    tail = uniq[order[_VTOP_ESC:]]
     span = hi - lo
-    ew = 1 if span < (1 << 8) else 2 if span < (1 << 16) else 4
-    eb = ext.astype(f"<u{ew}").view(np.uint8).reshape(ne, ew)
-    planes = [b0] + [np.ascontiguousarray(eb[:, i]) for i in range(ew)]
+    if n <= _VTOP_SAMPLE and 0 < len(tail) <= 256 and span >= 256:
+        # the sample is the whole array, so the tail is exact: with at
+        # most 256 escaped values, one byte indexing the count-ordered
+        # tail replaces two planes of raw offsets
+        rank = np.zeros(hi + 1, dtype=np.uint8)
+        rank[tail] = np.arange(len(tail), dtype=np.uint8)
+        ext = rank[ext]
+        k["tail"] = _best_int(tail.astype(np.int64), allow_dict=False)
+        ew = 1
+    else:
+        if lo:
+            ext = ext - arr.dtype.type(lo)
+        ew = 1 if span < (1 << 8) else 2 if span < (1 << 16) else 4
     return _node(
         "vtop",
-        {"dt": arr.dtype.str, "n": n, "ne": ne, "ew": ew, "lo": lo,
+        {"dt": arr.dtype.str, "n": n, "ne": len(ext), "ew": ew, "lo": lo,
          "nt": len(top)},
-        planes,
-        k={"values": _best_int(top, allow_dict=False, allow_vrank=False)},
+        [b0] + _split_planes(ext.astype(f"<u{ew}")),
+        k=k,
     )
 
 
@@ -375,38 +336,12 @@ def _dec_vtop(enc: dict) -> np.ndarray:
     # usable: it pairs by absolute array position).
     out = table[b0]
     if ne:
-        eb = np.empty((ne, ew), dtype=np.uint8)
-        for i in range(ew):
-            eb[:, i] = np.frombuffer(enc["p"][1 + i], dtype=np.uint8)[:ne]
-        ext = eb.reshape(-1).view(np.dtype(f"<u{ew}"))[:ne].astype(np.int64)
-        if lo:
-            ext += lo
-        np.place(out, b0 == _VRANK_ESC, ext.astype(target, copy=False))
-    return out
-
-
-def _dec_vrank(enc: dict) -> np.ndarray:
-    m = enc["m"]
-    target = np.dtype(m["dt"])
-    n, ne, ew = m["n"], m["ne"], m["ew"]
-    b0 = np.frombuffer(enc["p"][0], dtype=np.uint8)[:n]
-    # narrow the SMALL rank table before the n-sized gather so the big
-    # pass reads/writes the target width, not int64
-    values = decode_int(enc["k"]["values"]).astype(target, copy=False)
-    # same hybrid as _dec_vtop: gather the whole column through the
-    # uint8 plane (escape rows land on values[_VRANK_ESC], a harmless
-    # placeholder), then scatter the ne true escape values with
-    # np.place — avoids the n-sized int64 `codes` staging array
-    # entirely (measured ~1.4x on a 52M-token partition at 8% escapes)
-    out = values[b0]
-    if ne:
-        eb = np.empty((ne, ew), dtype=np.uint8)
-        for i in range(ew):
-            eb[:, i] = np.frombuffer(enc["p"][1 + i], dtype=np.uint8)[:ne]
-        # widen before the +ESC shift: a python-int + uint8 add stays
-        # uint8 under NEP 50 weak promotion and would wrap past 255
-        ext = eb.reshape(-1).view(np.dtype(f"<u{ew}"))[:ne].astype(np.int64)
-        np.place(out, b0 == _VRANK_ESC, values[_VRANK_ESC + ext])
+        ext = _join_planes(enc["p"][1:], ne, ew)
+        if "tail" in enc["k"]:
+            ext = decode_int(enc["k"]["tail"])[ext]
+        else:
+            ext = ext.astype(np.int64) + lo
+        np.place(out, b0 == _VTOP_ESC, ext.astype(target, copy=False))
     return out
 
 
@@ -420,22 +355,15 @@ _INT_DECODERS = {
     "rle": _dec_rle,
     "dict": _dec_dict,
     "bps": _dec_bps,
-    "vrank": _dec_vrank,
     "vtop": _dec_vtop,
 }
 
 
-def _candidates(
-    allow_rle: bool = True,
-    allow_dict: bool = True,
-    allow_delta: bool = True,
-    allow_vrank: bool = True,
-):
+def _candidates(allow_rle: bool = True, allow_dict: bool = True, allow_vtop: bool = True):
     cands = [_enc_plain, _enc_bitpack, _enc_for, _enc_bps]
-    if allow_vrank:
-        cands.append(_enc_vrank)
-    if allow_delta:
-        cands.append(_enc_delta)
+    if allow_vtop:
+        cands.append(_enc_vtop)
+    cands.append(_enc_delta)
     if allow_rle:
         cands.append(_enc_rle)
     if allow_dict:
@@ -443,10 +371,11 @@ def _candidates(
     return cands
 
 
-def _size(enc: dict) -> int:
+def encoded_size(enc: dict) -> int:
+    """Total payload bytes of a codec tree (header overhead excluded)."""
     total = sum(len(p) for p in enc["p"])
     for ch in enc["k"].values():
-        total += _size(ch)
+        total += encoded_size(ch)
     return total
 
 
@@ -474,23 +403,27 @@ def _best_int(
     arr: np.ndarray,
     allow_rle: bool = True,
     allow_dict: bool = True,
-    allow_delta: bool = True,
-    allow_vrank: bool = True,
+    allow_vtop: bool = True,
 ) -> dict:
     """Pick the smallest (post-zstd-estimated) encoding: estimate on a
     prefix sample for large arrays, encode the full array with the winner,
     and guard sample-biased winners (dict/rle/delta) against a cheap
-    full-array FoR encode."""
-    cands = _candidates(allow_rle, allow_dict, allow_delta, allow_vrank)
+    full-array FoR encode.  ``allow_vtop=False`` keeps the nested codes
+    of dict, rle and fdict off vtop: letting them take it grew the bench
+    token blocks by 4.8% and added ~20% encode time over the codec
+    census corpus (tools/codec_census.py)."""
+    cands = _candidates(allow_rle, allow_dict, allow_vtop)
     if len(arr) > 4 * SAMPLE:
         sample = arr[:SAMPLE]
         if allow_dict and len(np.unique(sample)) > SAMPLE // 4:
             # cardinality grows with n; sampled dict estimates are biased low
             cands = [fn for fn in cands if fn is not _enc_dict]
-        # large arrays take the sampled-rank path (vtop) via the explicit
-        # comparison below; a sample win for exact vrank would otherwise
-        # trigger a full-array bincount + rank re-gather
-        cands = [fn for fn in cands if fn is not _enc_vrank]
+        # vtop's sample bias runs the OTHER way: a small sample's top-255
+        # set covers far less than the full array's (each value seen
+        # ~once), so a sample score rejects it even when it wins on the
+        # full column — e.g. token ids, where full-array vtop is ~10%
+        # under bps.  It takes the explicit full-array trial below instead.
+        cands = [fn for fn in cands if fn is not _enc_vtop]
         scored = []
         for ci, enc_fn in enumerate(cands):
             e = enc_fn(sample)
@@ -500,22 +433,15 @@ def _best_int(
                 scored.append((_est_z(e), ci, enc_fn))
         scored.sort(key=lambda t: (t[0], t[1]))
         best_fn = scored[0][2]
-        if allow_vrank and best_fn in (_enc_bitpack, _enc_bps, _enc_for):
-            # vrank's sample bias runs the OTHER way: a small sample's
-            # top-255 ranks cover far less than the full array's (each
-            # value seen ~once), so the sampled score rejects it even
-            # when it wins on the full column — e.g. token ids, where
-            # full-array vrank is ~10% under bps.  Compare its full-array
-            # estimate against the winner's sample estimate SCALED to n
-            # (exact for fixed-width bp/bps/for) so the loser is never
-            # encoded; the applicability guards (non-negative, max <
-            # 2^22) skip non-token-shaped columns before the O(n) remap.
-            # Large arrays use vtop, the sampled-rank variant: same
-            # escape-coded layout, but the top-255 set comes from a 2M
-            # prefix so the encode never bincounts the full array.
-            vr = _enc_vtop(arr)
-            if vr is not None and _est_z(vr) < scored[0][0] * (len(arr) / len(sample)):
-                return vr
+        if allow_vtop and best_fn in (_enc_bitpack, _enc_bps, _enc_for):
+            # compare vtop's full-array estimate against the winner's
+            # sample estimate SCALED to n (exact for fixed-width
+            # bp/bps/for) so the loser is never encoded; vtop's
+            # applicability guards (non-negative, max < 2^22) skip
+            # non-token-shaped columns before the O(n) remap
+            vt = _enc_vtop(arr)
+            if vt is not None and _est_z(vt) < scored[0][0] * (len(arr) / len(sample)):
+                return vt
         best = best_fn(arr)
         if best is not None:
             if best_fn not in (_enc_plain, _enc_bitpack, _enc_for, _enc_bps):
@@ -530,26 +456,9 @@ def _best_int(
     return min(encs, key=_est_z)
 
 
-def encode_int_auto(arr: np.ndarray, choice: str | None = None) -> dict:
-    """Encode an integer array, auto-selecting the codec (or forcing one)."""
-    if choice is not None:
-        return encode_int(arr, choice)
+def encode_int_auto(arr: np.ndarray) -> dict:
+    """Encode an integer array with the auto-selected codec."""
     return _best_int(arr)
-
-
-def encode_int(arr: np.ndarray, codec: str) -> dict:
-    fn = {
-        "plain": _enc_plain,
-        "bp": _enc_bitpack,
-        "for": _enc_for,
-        "delta": _enc_delta,
-        "rle": _enc_rle,
-        "dict": _enc_dict,
-    }[codec]
-    enc = fn(arr)
-    if enc is None:
-        raise ValueError(f"codec {codec} not applicable to this array")
-    return enc
 
 
 def decode_int(enc: dict) -> np.ndarray:
@@ -557,6 +466,11 @@ def decode_int(enc: dict) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- float ----
+
+
+def _enc_fplain(arr: np.ndarray) -> dict:
+    return _node("fplain", {"dt": arr.dtype.str, "n": len(arr)},
+                 [np.ascontiguousarray(arr).view(np.uint8).reshape(-1)])
 
 
 def _enc_bss(arr: np.ndarray) -> dict:
@@ -593,34 +507,29 @@ def encode_float_auto(arr: np.ndarray) -> dict:
                 "fdict",
                 {"dt": arr.dtype.str, "n": n},
                 k={
-                    "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vrank=False),
+                    "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
                     "values": _enc_plain(full_uniq),
                 },
             )
-            if _size(enc) < arr.nbytes:
+            if encoded_size(enc) < arr.nbytes:
                 return enc
     sample = arr[: 4 * SAMPLE] if n > 4 * SAMPLE else arr
-    plain_est = _est_z(_node("fplain", {"dt": arr.dtype.str, "n": len(sample)},
-                             [np.ascontiguousarray(sample).view(np.uint8).reshape(-1)]))
+    plain_est = _est_z(_enc_fplain(sample))
     # score bss per byte-plane: a whole-buffer prefix ratio lands on the
     # random mantissa planes and extrapolates wrongly, while each plane is
     # homogeneous, so one prefix ratio per plane is accurate (the container
     # compresses the single concatenated payload to ~the sum of the planes)
-    sbytes = np.ascontiguousarray(sample).view(np.uint8).reshape(len(sample), arr.dtype.itemsize)
-    bss_est = _est_z(_node("fbss", {"dt": arr.dtype.str, "n": len(sample)},
-                           [np.ascontiguousarray(sbytes[:, i]) for i in range(arr.dtype.itemsize)]))
+    bss_est = _est_z(_node("fbss", {"dt": arr.dtype.str, "n": len(sample)}, _split_planes(sample)))
     if bss_est < plain_est:
         return _enc_bss(arr)
-    return _node("fplain", {"dt": arr.dtype.str, "n": n}, [np.ascontiguousarray(arr).view(np.uint8).reshape(-1)])
+    return _enc_fplain(arr)
 
 
 def decode_float(enc: dict) -> np.ndarray:
-    m = enc["m"]
-    dt = np.dtype(m["dt"])
     if enc["c"] == "fplain":
-        return np.frombuffer(enc["p"][0], dtype=dt)[: m["n"]]
+        return _dec_plain(enc)
     if enc["c"] == "fbss":
         return _dec_bss(enc)
     uniq = _dec_plain(enc["k"]["values"])
     codes = decode_int(enc["k"]["codes"])
-    return uniq[codes].view(dt)
+    return uniq[codes].view(np.dtype(enc["m"]["dt"]))

@@ -59,9 +59,9 @@ def arr_to_np(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     return lengths, data
 
 
-def np_to_arr(lengths: np.ndarray, data: np.ndarray, pa_type_name: str) -> pa.Array:
-    t = _PA_TYPES[pa_type_name]
-    large = pa_type_name.startswith("large")
+def np_to_arr(lengths: np.ndarray, data: np.ndarray, pa_name: str) -> pa.Array:
+    t = _PA_TYPES[pa_name]
+    large = pa_name.startswith("large")
     off_dt = np.int64 if large else np.int32
     offsets = np.empty(len(lengths) + 1, dtype=np.int64)
     offsets[0] = 0

@@ -127,11 +127,12 @@ class MediaFeatureExtractor:
 
 
 def extract_features(ds, dim: int = 16, concurrency: int = 4,
-                     real: bool | None = None):
+                     real: bool | None = False):
     """documents-with-payloads → features dataset (payload dropped).
-    ``real`` as in MediaFeatureExtractor: None = auto-probe PIL per
-    actor, False = pinned deterministic fake (oracle-parity), True =
-    require the codec."""
+    ``real`` as in MediaFeatureExtractor: False (default) = pinned
+    deterministic fake (oracle-parity, the same values with or without
+    PIL), None = opt-in auto-probe of PIL per actor, True = require the
+    codec."""
     return ds.map_batches(
         MediaFeatureExtractor,
         fn_constructor_kwargs={"dim": dim, "real": real},

@@ -5,8 +5,8 @@ A tokenized corpus routinely carries a vocabulary far sparser than its
 id space (hash vocabularies, subsetted corpora, merged tokenizers).
 Remapping ids to their global frequency rank (0 = most common) makes
 every downstream lightweight codec cheaper — bit-pack width drops to
-ceil(log2(|used vocab|)), and rank-coded streams (vrank/vtop in
-codecs/intcodecs.py) become the identity permutation — at the cost of
+ceil(log2(|used vocab|)), and the rank-coded vtop stream (in
+codecs/intcodecs.py) becomes the identity permutation — at the cost of
 one counting pass and one rewrite pass.
 
 Ray-Data shape (no driver-side data loops):

@@ -35,6 +35,7 @@ import pyarrow.parquet as pq
 
 from tokcodec import manifest as mf
 from tokcodec.blocks import (
+    MAGIC,
     codec_summary,
     decode_file,
     decode_table,
@@ -417,7 +418,7 @@ def plan_partitions(
             [os.path.abspath(p), os.path.getsize(p), os.stat(p).st_mtime_ns]
             for p in files
         ],
-        "format": "TOKB1",
+        "format": MAGIC.rstrip(b"\0").decode(),
     }
     if bloom_cols:
         # part of the output contract: adding/removing blooms must

@@ -54,9 +54,10 @@ class TokenBinDatasink(Datasink):
                 f"{self.out_dir} already holds {len(stale)} shard(s) "
                 f"(e.g. {stale[0]}); export into a fresh directory"
             )
-        success = os.path.join(self.out_dir, "_SUCCESS")
-        if os.path.exists(success):
-            os.remove(success)  # never report a prior run's success
+        for marker in ("_SUCCESS", "_FAILED"):
+            path = os.path.join(self.out_dir, marker)
+            if os.path.exists(path):
+                os.remove(path)  # never report a prior run's outcome
 
     @property
     def supports_distributed_writes(self) -> bool:
@@ -76,16 +77,18 @@ class TokenBinDatasink(Datasink):
             if t.num_rows == 0:
                 continue
             toks = t.column(self.tokens_col).combine_chunks()
-            vt = toks.type.value_type
+            is_list = pa.types.is_list(toks.type) or pa.types.is_large_list(toks.type)
+            vt = toks.type.value_type if is_list else None
             if not (
-                pa.types.is_integer(vt)
+                is_list
+                and pa.types.is_integer(vt)
                 and (vt.bit_width < 32 or vt == pa.int32())
             ):
-                # the shard format is int32; a silent astype from int64
-                # (or uint32 above 2^31) would corrupt token ids
+                # the shard format is int32 lists; a silent astype from
+                # int64 (or uint32 above 2^31) would corrupt token ids
                 raise ValueError(
-                    f"{self.tokens_col} holds list<{vt}>; the .bin shard "
-                    "format is int32 — cast upstream if the values fit"
+                    f"{self.tokens_col} holds {toks.type}; the .bin shard "
+                    "format is list<int32> — cast upstream if the values fit"
                 )
             # ListArray offsets may start past 0 after slicing
             offs = np.asarray(toks.offsets, dtype=np.int64)

@@ -109,7 +109,7 @@ def _pack_partition(
     """Pack one partition: complete chunks to
     ``out_dir/chunks/part-{pid}.parquet``, ragged edges to
     ``out_dir/fragments/part-{pid}.parquet`` (both atomic); returns
-    metrics.  Resumes via a fingerprint-stamped marker in ``state/``."""
+    metrics.  Resumes via a fingerprint-stamped marker under ``out_dir/state``."""
     pid = int(spec["pid"])
     part_path = os.path.join(out_dir, "chunks", f"part-{pid:05d}.parquet")
     frag_path = os.path.join(out_dir, "fragments", f"part-{pid:05d}.parquet")

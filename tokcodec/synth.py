@@ -112,8 +112,10 @@ def write_fixture_dir(
         # ~3 GB RSS and saturates a core for tens of seconds, and this
         # sandbox host throttles HARD under sustained all-core load
         # (BASELINE.md probes) — a narrower burst finishes sooner and
-        # leaves the host healthier for whatever is timed next
-        task = ray.remote(num_cpus=2)(_one)
+        # leaves the host healthier for whatever is timed next.  Capped
+        # at the session's CPUs: a 2-CPU task never schedules on 1 CPU.
+        cpus = min(2.0, ray.cluster_resources().get("CPU", 1.0))
+        task = ray.remote(num_cpus=cpus)(_one)
         ray.get([task.remote(*j) for j in jobs])
     else:
         for j in jobs:
