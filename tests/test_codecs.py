@@ -132,8 +132,38 @@ def test_int_byte_plane_split_roundtrip_and_selection():
         assert _est_z(auto) <= _est_z(_enc_bitpack(zipf))
 
 
-def test_int_vtop_roundtrip_and_guards():
+def test_int_vrank_roundtrip_and_selection():
+    """Rank coding of token ids (vtop, which absorbed the former vrank
+    codec): round-trips the rank-codec inputs and wins the auto selection
+    on zipf token ids."""
     from tokcodec.codecs.intcodecs import _dec_vtop, _enc_bps, _enc_vtop, _est_z
+
+    rng = np.random.default_rng(29)
+    zipf = np.minimum(rng.zipf(1.3, 200000), 50256).astype(np.int64)
+    for a in (
+        zipf,                                                  # token shape
+        rng.integers(0, 300, 50000).astype(np.int64),          # small vocab
+        np.minimum(rng.zipf(1.1, 50000), (1 << 21) - 1).astype(np.int64),  # u4 ext
+        np.repeat(np.arange(300, dtype=np.int64), 5),          # every rank escapes
+    ):
+        e = _enc_vtop(a)
+        assert e is not None
+        d = _dec_vtop(e)
+        assert d.dtype == a.dtype and (d == a).all()
+    # zipf token ids (large array): auto must pick vtop through the
+    # full-array trial (the sampled stage alone would reject it) and beat
+    # bps by >=5%
+    auto = encode_int_auto(zipf)
+    assert auto["c"] == "vtop"
+    assert (decode_int(auto) == zipf).all()
+    assert _est_z(auto) < 0.95 * _est_z(_enc_bps(zipf))
+    # deterministic across calls (byte-identical resume)
+    e1, e2 = encode_int_auto(zipf), encode_int_auto(zipf)
+    assert all((p1 == p2).all() for p1, p2 in zip(e1["p"], e2["p"]))
+
+
+def test_int_vtop_roundtrip_and_guards():
+    from tokcodec.codecs.intcodecs import _dec_vtop, _enc_vtop
 
     rng = np.random.default_rng(31)
     for a in (
@@ -168,18 +198,10 @@ def test_int_vtop_roundtrip_and_guards():
     assert "tail" in _enc_vtop(np.repeat(np.arange(511, dtype=np.int64), 3))["k"]
     assert "tail" not in _enc_vtop(np.repeat(np.arange(512, dtype=np.int64), 3))["k"]
     assert "tail" not in _enc_vtop(np.repeat(np.arange(200, dtype=np.int64) * 9, 9))["k"]
-    # zipf token ids (large array): auto must pick vtop through the
-    # full-array trial (the sampled stage alone would reject it) and beat
-    # bps by >=5%
-    zipf = np.minimum(rng.zipf(1.3, 200000), 50256).astype(np.int64)
-    auto = encode_int_auto(zipf)
-    assert auto["c"] == "vtop"
-    assert (decode_int(auto) == zipf).all()
-    assert _est_z(auto) < 0.95 * _est_z(_enc_bps(zipf))
     # deterministic across calls (byte-identical resume)
-    for e1, e2 in ((_enc_vtop(zipf), _enc_vtop(zipf)),
-                   (encode_int_auto(zipf), encode_int_auto(zipf))):
-        assert all((p1 == p2).all() for p1, p2 in zip(e1["p"], e2["p"]))
+    zipf = np.minimum(rng.zipf(1.3, 200000), 50256).astype(np.int64)
+    e1, e2 = _enc_vtop(zipf), _enc_vtop(zipf)
+    assert all((p1 == p2).all() for p1, p2 in zip(e1["p"], e2["p"]))
 
 
 def test_small_zipf_array_encodes_as_vtop():
