@@ -981,6 +981,41 @@ def test_quantile_disc_matches_duckdb_semantics(ray_session):
             assert quantile_disc(ds, "x", q) == want, (q, len(vals))
 
 
+def test_quantile_gather_bounded_when_window_stops_shrinking(ray_session, monkeypatch):
+    """10^6 copies of the median value keep its bin over the gather bound
+    until the window is too narrow to split; the gather must then ship
+    per-value counts, not every copy, to the driver."""
+    import ray.data
+    from ray.data import Dataset
+
+    from tokcodec.functions.quantile import grouped_quantiles_disc, quantiles_disc
+
+    rng = np.random.default_rng(31)
+    med = 5.0 / 3.0
+    x = np.concatenate((rng.uniform(0.0, 1.0, 100_000), np.full(1_000_000, med),
+                        rng.uniform(2.0, 3.0, 100_000)))
+    g = np.where(np.arange(len(x)) % 2 == 0, "a", "b")
+    t = pa.table({"g": pa.array(g), "x": pa.array(rng.permutation(x))})
+    ds = ray.data.from_arrow([t.slice(i, 300_000) for i in range(0, t.num_rows, 300_000)])
+    rows: list[int] = []
+    take_all = Dataset.take_all
+
+    def counted(self, *a, **k):
+        out = take_all(self, *a, **k)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(Dataset, "take_all", counted)
+    qs = [0.25, 0.5, 0.75]
+    srt = np.sort(x)
+    assert quantiles_disc(ds, "x", qs) == [srt[int(np.ceil(q * len(x))) - 1] for q in qs]
+    assert max(rows) <= 64, rows
+    rows.clear()
+    got = grouped_quantiles_disc(ds, "g", "x", [0.5]).to_pydict()
+    assert got["v"] == [med, med]
+    assert max(rows) <= 64, rows
+
+
 def test_ngram_profile_empty_batch():
     t = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
     out = dedup.ngram_profile(t)

@@ -76,11 +76,18 @@ def encode_bytes_auto(arr: pa.Array) -> dict:
         if n:
             d = _enc_dict_bytes(arr)
             cands.append(d)
+            uvals = d["k"]["uvals"]
             # ≤64 distinct values: dict (≤6-bit codes + tiny value blob)
             # always beats FSST's ≥1 code byte per string — skip the
             # symbol-table build, the costliest step for low-card columns
-            if d["k"]["uvals"]["m"]["n"] > 64:
-                f = try_fsst(arr)
+            if uvals["m"]["n"] > 64:
+                if uvals["m"]["n"] < n:
+                    f = try_fsst(arr)
+                else:
+                    # all distinct: the dictionary keeps first-occurrence
+                    # order, so its values are the array and their node
+                    # is already try_fsst(arr), or plain where it declined
+                    f = uvals if uvals["c"] == "fsst" else None
                 if f is not None:
                     cands.append(f)
         return min(cands, key=_est_z)
@@ -93,10 +100,9 @@ def encode_bytes_auto(arr: pa.Array) -> dict:
     # half the trial cost; the row floor of 128 keeps the >64-uniques
     # dict-vs-fsst gate meaningful (a 64-row sample could never exceed
     # it) while capping long-string trial samples at ~128 rows instead
-    # of 256.  Winners still build their real table from up to
-    # SAMPLE_BYTES (32 KB) of data inside try_fsst, so a smaller trial
-    # only changes which columns pay the full build, not its quality
-    # when the sample carries >= 32 KB.
+    # of 256.  An FSST winner re-encodes the full array with the table
+    # built on this trial sample (table_of(fs)), so the sample also
+    # bounds the table's quality.
     avg_len = max(1, (arr.nbytes - 8 * n) // max(1, n))
     rows = max(128, min(4096, 8192 // avg_len))
     sample = arr.slice(0, rows)

@@ -45,13 +45,12 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
     total = int(lengths.sum())
     seq = np.full(total + n_strings, -1, dtype=np.int32)
     # positions for data bytes: offset by one separator per preceding string
-    str_id = np.repeat(np.arange(n_strings), lengths)
     within = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     pos = np.repeat(np.cumsum(lengths + 1) - (lengths + 1), lengths) + within
     seq[pos] = data
     sym_bytes: dict[int, bytes] = {b: bytes([b]) for b in range(256)}
+    sym_len = np.ones(512, dtype=np.int64)
     next_code = 256
-    banned: set[int] = set()
     # Batched BPE: each round counts pairs ONCE, then applies up to 8
     # merges whose codes are mutually disjoint.  Disjointness makes the
     # stale counts exact (merging (a,b) can only change the count of a
@@ -61,56 +60,46 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
     for _ in range(300):
         if next_code >= 256 + 254:
             break
-        a = seq[:-1]
-        b = seq[1:]
-        valid = (a >= 0) & (b >= 0)
-        keys = a.astype(np.int64) * 1024 + b
-        uniq, counts = np.unique(keys[valid], return_counts=True)
-        order = np.argsort(counts, kind="stable")[::-1]
+        # pair key a * 512 + b stays in int32 (codes < 510); a pair touching
+        # a -1 separator gets a key no valid pair has (negative, or a
+        # second code of 511)
+        keys = seq[:-1] * 512 + seq[1:]
+        uniq, counts = np.unique(keys[(seq[:-1] >= 0) & (seq[1:] >= 0)], return_counts=True)
+        # candidates: seen >= 4 times and merging to <= MAX_SYM_LEN bytes
+        ok = (counts >= 4) & (sym_len[uniq // 512] + sym_len[uniq % 512] <= MAX_SYM_LEN)
+        uniq, counts = uniq[ok], counts[ok]
         used: set[int] = set()
         accepted: list[tuple[int, int, int]] = []
-        for oi in order:
-            if int(counts[oi]) < 4 or len(accepted) >= 8:
-                break
-            key = int(uniq[oi])
-            if key in banned:
-                continue
-            ka, kb = key // 1024, key % 1024
+        for key in uniq[np.argsort(counts, kind="stable")[::-1]].tolist():
+            ka, kb = divmod(key, 512)
             if ka in used or kb in used:
                 continue  # next round sees exact counts for this pair
-            if len(sym_bytes[ka]) + len(sym_bytes[kb]) > MAX_SYM_LEN:
-                banned.add(key)
-                continue
             used.update((ka, kb))
             accepted.append((ka, kb, key))
-            if next_code + len(accepted) >= 256 + 254:
+            if len(accepted) >= 8 or next_code + len(accepted) >= 256 + 254:
                 break
         if not accepted:
             break
-        for ka, kb, _key in accepted:
-            # non-overlapping greedy-left replace of (ka, kb) on the
-            # CURRENT seq (indices shift as earlier merges splice it)
-            a = seq[:-1]
-            b = seq[1:]
-            p = np.flatnonzero((a == ka) & (b == kb))
+        # Disjoint codes also mean the accepted pairs' matches never
+        # overlap and no merge creates a match for another, so every merge
+        # reads its positions off this round's keys and the sequence is
+        # compacted once
+        keep = np.ones(len(seq), dtype=bool)
+        for ka, kb, key in accepted:
+            p = np.flatnonzero(keys == key)
             if ka == kb:
-                # drop every second position inside runs of consecutive matches
-                keep = np.ones(len(p), dtype=bool)
+                # non-overlapping greedy-left: drop every second position
+                # inside runs of consecutive matches
                 if len(p) > 1:
                     run_break = np.concatenate(([True], np.diff(p) > 1))
-                    run_id = np.cumsum(run_break) - 1
-                    run_start = p[run_break][run_id]
-                    keep = ((p - run_start) % 2) == 0
-                p = p[keep]
-            if not len(p):
-                continue
-            code = next_code
+                    run_start = p[run_break][np.cumsum(run_break) - 1]
+                    p = p[((p - run_start) % 2) == 0]
+            sym_bytes[next_code] = sym_bytes[ka] + sym_bytes[kb]
+            sym_len[next_code] = sym_len[ka] + sym_len[kb]
+            seq[p] = next_code
+            keep[p + 1] = False
             next_code += 1
-            sym_bytes[code] = sym_bytes[ka] + sym_bytes[kb]
-            seq[p] = code
-            mask = np.ones(len(seq), dtype=bool)
-            mask[p + 1] = False
-            seq = seq[mask]
+        seq = seq[keep]
     # final selection: rank by gain vs escape-everything baseline
     cnt = np.bincount(seq[seq >= 0], minlength=next_code)
     gains = []

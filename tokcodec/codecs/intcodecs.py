@@ -399,6 +399,24 @@ def _est_z(enc: dict) -> float:
     return total
 
 
+def _undominated(cands: list, arr: np.ndarray) -> list:
+    """Drop the trials that can at most tie an earlier candidate on
+    ``arr`` (the pick keeps the first of equal scores, so it is unchanged):
+    ``for`` when the int64 view's min is 0, where its payload is ``bp``'s
+    byte for byte (uint64 values >= 2^63 view negative, so they keep it);
+    ``rle`` when no element equals its neighbour, where its values child
+    is ``arr`` itself over codecs tried before it and its all-zero lengths
+    pack to nothing."""
+    if not len(arr):
+        return cands
+    skip = set()
+    if arr.astype(np.int64, copy=False).min() == 0:
+        skip.add(_enc_for)
+    if not (arr[1:] == arr[:-1]).any():
+        skip.add(_enc_rle)
+    return [fn for fn in cands if fn not in skip]
+
+
 def _best_int(
     arr: np.ndarray,
     allow_rle: bool = True,
@@ -425,7 +443,7 @@ def _best_int(
         # under bps.  It takes the explicit full-array trial below instead.
         cands = [fn for fn in cands if fn is not _enc_vtop]
         scored = []
-        for ci, enc_fn in enumerate(cands):
+        for ci, enc_fn in enumerate(_undominated(cands, sample)):
             e = enc_fn(sample)
             if e is not None:
                 # tie-break on candidate ORDER (deterministic across
@@ -452,7 +470,7 @@ def _best_int(
                     if alt is not None and _est_z(alt) <= _est_z(best):
                         best = alt
             return best
-    encs = [e for e in (fn(arr) for fn in cands) if e is not None]
+    encs = [e for e in (fn(arr) for fn in _undominated(cands, arr)) if e is not None]
     return min(encs, key=_est_z)
 
 

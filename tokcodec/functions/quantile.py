@@ -56,18 +56,31 @@ def _histogram(ds, column: str, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _select_counted(vals: np.ndarray, counts: np.ndarray, rank: int) -> float:
+    """The element at 0-indexed ``rank`` of the multiset holding each of
+    ``vals`` ``counts`` times (a value may repeat across entries)."""
+    order = np.argsort(vals, kind="stable")
+    cum = np.cumsum(counts[order])
+    return float(vals[order][np.searchsorted(cum, rank + 1)])
+
+
 def _gather_select(ds, column: str, lo: float, hi: float, last: bool, rank: int) -> float:
-    """Candidate set is bounded: gather ONLY the surviving bin's values
-    (same binning predicate as the histogram) and select exactly."""
+    """Gather ONLY the surviving bin's values (same binning predicate as
+    the histogram), as one (value, count) row per distinct value per
+    block, and select exactly.  A window that stopped shrinking is a few
+    ulps wide, so a value repeated millions of times still ships one row
+    per block."""
 
     def gather(batch: pa.Table, _lo=lo, _hi=hi, _last=last) -> pa.Table:
         v = _col_values(batch, column)
         keep = (v >= _lo) & ((v <= _hi) if _last else (v < _hi))
-        return pa.table({"v": pa.array(v[keep], pa.float64())})
+        u, c = np.unique(v[keep], return_counts=True)
+        return pa.table({"v": pa.array(u, pa.float64()), "c": pa.array(c, pa.int64())})
 
     rows = ds.map_batches(gather, batch_format="pyarrow").take_all()
-    vals = np.sort(np.array([r["v"] for r in rows], dtype=np.float64))
-    return float(vals[rank])
+    vals = np.array([r["v"] for r in rows], dtype=np.float64)
+    counts = np.array([r["c"] for r in rows], dtype=np.int64)
+    return _select_counted(vals, counts, rank)
 
 
 def _step(counts: np.ndarray, edges: np.ndarray, rank: int):
@@ -275,7 +288,7 @@ def grouped_quantiles_disc(ds, group_col: str, column: str, qs: list[float]) -> 
             g, v = _group_values(batch)
             garr = g.to_numpy(zero_copy_only=False)  # native-typed compare
             masks: dict = {}  # group -> mask, shared across its q keys
-            ks, vs = [], []
+            ks, vs, cs = [], [], []
             for ki, k in enumerate(keys):
                 _rank, lo, hi, last = windows[k]
                 m = masks.get(k[0])
@@ -283,20 +296,25 @@ def grouped_quantiles_disc(ds, group_col: str, column: str, qs: list[float]) -> 
                     m = masks[k[0]] = garr == k[0]
                 vals = v[m]
                 vals = vals[(vals >= lo) & ((vals <= hi) if last else (vals < hi))]
-                ks.extend([ki] * len(vals))
-                vs.extend(vals.tolist())
-            return pa.table(
-                {"k": pa.array(ks, pa.int64()), "v": pa.array(vs, pa.float64())}
-            )
+                # one (value, count) row per distinct value, as in
+                # _gather_select
+                u, c = np.unique(vals, return_counts=True)
+                ks.extend([ki] * len(u))
+                vs.extend(u.tolist())
+                cs.extend(c.tolist())
+            return pa.table({"k": pa.array(ks, pa.int64()), "v": pa.array(vs, pa.float64()),
+                             "c": pa.array(cs, pa.int64())})
 
-        pools: dict = {k: [] for k in keys}
+        pools: dict = {k: ([], []) for k in keys}
         for r in ds.map_batches(gather, batch_format="pyarrow").take_all():
-            pools[keys[r["k"]]].append(r["v"])
-        out = {}
-        for k in keys:
-            vals = np.sort(np.array(pools[k], dtype=np.float64))
-            out[k] = float(vals[windows[k][0]])
-        return out
+            vs, cs = pools[keys[r["k"]]]
+            vs.append(r["v"])
+            cs.append(r["c"])
+        return {
+            k: _select_counted(np.array(vs, dtype=np.float64), np.array(cs, dtype=np.int64),
+                               windows[k][0])
+            for k, (vs, cs) in pools.items()
+        }
 
     for _ in range(_MAX_PASSES):
         if not active:

@@ -60,9 +60,10 @@ def main() -> dict:
             "fnv128_MBps": round(nbytes / dt_fnv / 1e6, 1),
             "md5_MBps": round(nbytes / dt_md5 / 1e6, 1),
         }
-    from bench import _effective_cores
+    from bench import _effective_cores, _probe_cpus
 
-    out["effective_cores_of_32"] = _effective_cores()
+    out["effective_cores"] = _effective_cores()
+    out["probe_cpus"] = _probe_cpus()
     return out
 
 
