@@ -668,6 +668,103 @@ def test_verify_jaccard_shuffle_fallback_matches_broadcast(ray_session, tmp_path
     assert broadcast == shuffled and len(broadcast) >= 6
 
 
+def test_verify_jaccard_three_plans_agree(ray_session, tmp_path, monkeypatch):
+    """Pair broadcast, set broadcast (more pairs than max_broadcast_pairs)
+    and shuffle join (shingle sets over _MAX_BROADCAST_SHINGLES) verify
+    the same pairs with the same scores as a driver-side exact Jaccard,
+    including a pair with a missing doc, an empty-text doc and a doc id
+    whose shingle run is the last one."""
+    import pyarrow.parquet as pq
+
+    import ray.data
+
+    rng = np.random.default_rng(5)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+    texts = [" ".join(rng.choice(words, 20)) for _ in range(24)]
+    texts += [t + " tail token" for t in texts[:5]] + [""]
+    n = len(texts)
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(n), pa.int64()), "text": pa.array(texts)}),
+        src, row_group_size=7,
+    )
+    ds = ray.data.read_parquet(src)
+    cand = [(a, b) for a in range(n) for b in range(a + 1, n) if (a * 7 + b) % 3 == 0]
+    cand += [(0, 24), (3, 27), (1, n - 1), (2, 999)]
+    pairs = ray.data.from_items(
+        [{"a": a, "b": b} for a, b in sorted(set(cand))], override_num_blocks=2
+    )
+
+    def jac(i, j):
+        if j >= n:
+            return 0.0
+        _, sa = dedup._word_shingles([texts[i]], 3)
+        _, sb = dedup._word_shingles([texts[j]], 3)
+        sa, sb = set(sa.tolist()), set(sb.tolist())
+        return len(sa & sb) / len(sa | sb) if sa | sb else 0.0
+
+    want = sorted((a, b, round(jac(a, b), 4)) for a, b in set(cand) if jac(a, b) >= 0.3)
+    assert any(a == 0 and b == 24 for a, b, _ in want)
+    key = lambda r: (r["a"], r["b"], r["jaccard"])
+    run = lambda **kw: sorted(map(key, dedup.verify_jaccard(ds, pairs, tau=0.3, **kw)))
+    assert run() == want  # pair broadcast
+    # the set broadcast scores each pairs batch in place: it never sorts
+    # (a, b, sh) rows
+    monkeypatch.setattr(dedup, "_score_shingle_rows", None)
+    assert run(max_broadcast_pairs=0) == want
+    monkeypatch.setattr(dedup, "_SET_ROWS_PER_CALL", 150)
+    assert run(max_broadcast_pairs=0) == want  # a few pairs per kernel call
+    monkeypatch.undo()
+    monkeypatch.setattr(dedup, "_MAX_BROADCAST_SHINGLES", 0)
+    assert run(max_broadcast_pairs=0) == want  # shuffle join
+
+
+def test_score_pairs_on_sets_matches_sorted_rows():
+    """The set-broadcast kernel equals `_pair_scores` over the explicitly
+    built, sorted (a, b, sh) rows, for random sets and missing docs."""
+    rng = np.random.default_rng(8)
+    ids = np.array([2, 5, 6, 9, 11], np.int64)
+    runs = [np.unique(rng.integers(0, 40, rng.integers(1, 25))) for _ in ids]
+    offs = np.concatenate(([0], np.cumsum([len(r) for r in runs])))
+    sh = np.concatenate(runs).astype(np.int64)
+    # 3, 4 and 12 are missing; 4 and 12 sit next to a doc they pair with
+    a = np.array([2, 2, 5, 6, 9, 3, 6, 4, 11], np.int64)
+    b = np.array([5, 11, 11, 9, 11, 9, 11, 5, 12], np.int64)
+    rows = [(x, y, v) for x, y in zip(a, b) for d in (x, y) if d in ids
+            for v in runs[int(np.searchsorted(ids, d))]]
+    ra, rb, rs = (np.array(c, np.int64) for c in zip(*sorted(rows)))
+    want = dedup._pair_scores(ra, rb, rs, 0.1)
+    got = dedup._score_pairs_on_sets(a, b, ids, offs, sh, 0.1)
+    order = np.lexsort((got[1], got[0]))
+    for g, w in zip(got, want):
+        assert np.array_equal(g[order], w)
+
+
+def test_verify_jaccard_join_partitions_fit_cluster_memory():
+    """The shuffle-verify join's partition count follows pair volume but
+    is capped so Ray Data's join aggregators (up to 7 target-size blocks
+    of `memory` per partition) plus one shuffle task per CPU (1.25
+    blocks) fit in the cluster's `memory`: on a 4-CPU host granting
+    10.7 GiB, 1.45 M pairs once asked for 37 partitions (32.4 GiB) and no
+    aggregator ever scheduled."""
+    gib, mib = 1 << 30, 1 << 20
+    block = 128 * mib
+    host = {"CPU": 4.0, "memory": 10.7 * gib}
+    n = dedup._join_partitions(1_450_000, host, block)
+    assert n == 11
+    assert 7 * n * block + 4 * 1.25 * block <= host["memory"]
+    # small pair volumes keep the volume sizing
+    assert dedup._join_partitions(10, host, block) == 8
+    big = {"CPU": 32.0, "memory": 200 * gib}
+    assert dedup._join_partitions(1_450_000, big, block) == 37
+    assert dedup._join_partitions(10**9, big, block) == 222
+    # no memory resource or no block-size target: nothing to fit
+    assert dedup._join_partitions(1_450_000, {"CPU": 4.0}, block) == 37
+    assert dedup._join_partitions(1_450_000, host, None) == 37
+    # a tiny grant still gets one partition
+    assert dedup._join_partitions(1_450_000, {"CPU": 1.0, "memory": mib}, block) == 1
+
+
 def test_ivf_partitioned_matches_compute_side(ray_session, tmp_path):
     """The build-time-partitioned IVF path must return the same result
     sets as the compute-side probe-pruned scan (same centroids, same

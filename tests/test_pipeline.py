@@ -636,3 +636,146 @@ def test_encode_dictionary_parquet_input(ray_session, tmp_path):
     got = pa2.concat_tables([decode_file(os.path.join(out, p))[0] for p in parts])
     want = pq.read_table(src)
     assert got.sort_by("doc_id").cast(want.schema).equals(want.sort_by("doc_id"))
+
+
+# ------------------------------------------ shared row-group reads ----
+
+
+@pytest.fixture(scope="module")
+def shared_rg(ray_session, tmp_path_factory):
+    """Two row groups of 800 rows, each cut into 4+ partitions, encoded
+    with concurrency=2 (grouped: 2 spans >= 2 slots) and concurrency=4
+    (2 spans < 4 slots: one partition per task)."""
+    from tokcodec.synth import write_fixture
+
+    d = tmp_path_factory.mktemp("shared_rg")
+    src = write_fixture(str(d / "rg.parquet"), n_rows=1600, seed=5, row_group_size=800)
+    target = int(pq.read_table(src, columns=["n_tok"]).column(0).to_numpy().sum()) // 10
+    grouped = encode_dataset(src, str(d / "grouped"), target_tokens=target, concurrency=2)
+    single = encode_dataset(src, str(d / "single"), target_tokens=target, concurrency=4)
+    return grouped, single
+
+
+def _encode_in_process(plan: dict, out: str, slots: int, monkeypatch) -> tuple[list, list]:
+    """Run the encode's grouping and EncodeWorker in this process, with a
+    counter on _read_rows; returns (reads, metrics)."""
+    import pyarrow as pa
+
+    from tokcodec.pipelines import encode as enc
+
+    reads, real = [], enc._read_rows
+
+    def counting(path, row_start, row_end, columns):
+        reads.append((path, row_start, row_end))
+        return real(path, row_start, row_end, columns)
+
+    monkeypatch.setattr(enc, "_read_rows", counting)
+    os.makedirs(out, exist_ok=True)
+    worker = enc.EncodeWorker(out, plan["fingerprint"], None)
+    metrics = []
+    for g in enc._read_groups(plan["partitions"], slots):
+        metrics += worker(pa.Table.from_pylist([{"specs": g}])).to_pylist()
+    return reads, metrics
+
+
+def _spans(plan: dict) -> list[tuple]:
+    return sorted({(s["file"], s["rg_first"], s["rg_last"]) for s in plan["partitions"]})
+
+
+def _block_and_codecs(out: str) -> dict:
+    import json
+
+    got = {}
+    for n in sorted(os.listdir(out)):
+        if n.endswith(".tokb"):
+            with open(os.path.join(out, n), "rb") as f:
+                got[n] = f.read()
+        elif n.endswith(".manifest.json"):
+            with open(os.path.join(out, n)) as f:
+                got[n] = json.load(f)["codecs"]
+    return got
+
+
+def test_plan_spans_match_the_rows_read(ray_session, tmp_path):
+    """rg_first/rg_last are exactly the row groups a spec's rows overlap,
+    for snapped and exact (mid-row-group) cuts, in both planners."""
+    from tokcodec.synth import write_fixture
+
+    p = write_fixture(str(tmp_path / "s.parquet"), n_rows=3000, seed=9, row_group_size=250)
+    md = pq.ParquetFile(p).metadata
+    offs = np.cumsum([0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)])
+    for snap in (0.0, 0.4):
+        ser = plan_partitions(p, target_tokens=TARGET // 3, parallel=False, snap_frac=snap)
+        par = plan_partitions(p, target_tokens=TARGET // 3, parallel=True, snap_frac=snap)
+        assert ser["partitions"] == par["partitions"]
+        for s in ser["partitions"]:
+            rgs = [i for i in range(md.num_row_groups)
+                   if offs[i + 1] > s["row_start"] and offs[i] < s["row_end"]]
+            assert (s["rg_first"], s["rg_last"]) == (rgs[0], rgs[-1])
+        if snap == 0.0:
+            # exact cuts: some partitions span several row groups
+            assert any(s["rg_first"] < s["rg_last"] for s in ser["partitions"])
+
+
+def test_grouped_encode_byte_identical_to_per_partition(shared_rg):
+    """Partitions cut from one row group encode in one task (concurrency=2)
+    and write block files and codec records byte-identical to one task
+    per partition (concurrency=4, fewer spans than slots)."""
+    grouped, single = shared_rg
+    plan = grouped["plan"]
+    assert plan == single["plan"]
+    n_parts = len(plan["partitions"])
+    spans = _spans(plan)
+    assert len(spans) == 2
+    assert grouped["tasks"] == len(spans)
+    assert single["tasks"] == n_parts
+    assert _block_and_codecs(grouped["out_dir"]) == _block_and_codecs(single["out_dir"])
+    per_span = {sp: 0 for sp in spans}
+    for s in plan["partitions"]:
+        per_span[(s["file"], s["rg_first"], s["rg_last"])] += 1
+    assert min(per_span.values()) >= 4
+    by_pid = {s["pid"]: s for s in plan["partitions"]}
+    for m in grouped["metrics"]:
+        s = by_pid[m["pid"]]
+        assert m["read_group"] == per_span[(s["file"], s["rg_first"], s["rg_last"])]
+    assert all(m["read_group"] == 1 for m in single["metrics"])
+
+
+def test_grouped_encode_reads_each_span_once(shared_rg, tmp_path, monkeypatch):
+    grouped, _ = shared_rg
+    plan = grouped["plan"]
+    out = str(tmp_path / "out")
+    reads, metrics = _encode_in_process(plan, out, 2, monkeypatch)
+    assert len(reads) == len(_spans(plan))
+    assert [m["pid"] for m in metrics] == [s["pid"] for s in plan["partitions"]]
+    assert _block_and_codecs(out) == _block_and_codecs(grouped["out_dir"])
+
+
+def test_grouped_resume_reencodes_only_the_missing_partition(shared_rg, tmp_path, monkeypatch):
+    """Deleting one partition inside a group: the rerun skips the others,
+    reads once for that one partition and writes the same bytes."""
+    grouped, _ = shared_rg
+    plan = grouped["plan"]
+    out = str(tmp_path / "resume")
+    shutil.copytree(grouped["out_dir"], out)
+    first_span = [s for s in plan["partitions"] if s["rg_first"] == 0 and s["rg_last"] == 0]
+    victim = first_span[len(first_span) // 2]["pid"]
+    os.remove(os.path.join(out, f"part-{victim:05d}.manifest.json"))
+    os.remove(os.path.join(out, f"part-{victim:05d}.tokb"))
+    reads, metrics = _encode_in_process(plan, out, 2, monkeypatch)
+    assert len(reads) == 1
+    redone = [m for m in metrics if not m["resumed"]]
+    assert [m["pid"] for m in redone] == [victim]
+    assert redone[0]["read_group"] == 1
+    assert len(metrics) == len(plan["partitions"])
+    assert _block_and_codecs(out) == _block_and_codecs(grouped["out_dir"])
+
+
+def test_fewer_spans_than_slots_reads_once_per_partition(shared_rg, tmp_path, monkeypatch):
+    grouped, single = shared_rg
+    plan = grouped["plan"]
+    out = str(tmp_path / "fallback")
+    reads, metrics = _encode_in_process(plan, out, len(_spans(plan)) + 1, monkeypatch)
+    assert len(reads) == len(plan["partitions"])
+    assert all(m["read_group"] == 1 for m in metrics)
+    assert _block_and_codecs(out) == _block_and_codecs(single["out_dir"])

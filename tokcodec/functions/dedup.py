@@ -11,7 +11,9 @@ Scale notes (100 TB design):
   buckets → candidate pairs (np.triu_indices emission, capped buckets,
   native-aggregate distinct); exact-Jaccard verification auto-selects a
   broadcast pair-index plan or — above `max_broadcast_pairs` — a
-  shuffle-join plan with zero driver pair state.
+  broadcast of the corpus's shingle sets scored per pair batch, or —
+  when those sets are too big to broadcast — a shuffle-join plan with zero
+  driver pair state.
 - SimHash: vectorized 64-bit signatures; near-dups = equal signatures
   (or banded prefixes for Hamming<k).
 - embedding near-dup: cosine over normalized vectors via blocked matmul
@@ -334,33 +336,48 @@ def verify_jaccard(
 ):
     """Exact shingle-set Jaccard for candidate pairs (word k-shingles by
     default; `shingle="char"` = char k-gram Jaccard), computed OFF the
-    driver.  Two execution plans, auto-selected on candidate-pair count:
+    driver.  Three execution plans, auto-selected on candidate-pair
+    count, then on the corpus's shingle-set size:
 
-    * broadcast (<= `max_broadcast_pairs`): the doc→pairs index (ids
-      only, no text/shingles) is ray.put once; a map_batches pass over
-      the corpus emits flat (a, b, sh) rows for involved docs only —
+    * pair broadcast (<= `max_broadcast_pairs`): the doc→pairs index
+      (ids only, no text/shingles) is ray.put once; a map_batches pass
+      over the corpus emits flat (a, b, sh) rows for involved docs only —
       per-doc-distinct shingles, fully vectorized.
-    * shuffle join (above the bound): pairs explode to (doc_id, a, b)
+    * set broadcast (more pairs, but the corpus's per-doc shingle sets
+      fit in `_MAX_BROADCAST_SHINGLES` (doc, shingle) rows): the
+      sets are ray.put once and a map_batches pass over the PAIRS scores
+      each batch completely (`_score_pairs_on_sets`).  The (a, b, sh)
+      rows — Σ over pairs of both docs' set sizes, 13.5 GiB for the 1.5 M
+      char-4-gram pairs of the sf0.1 documents — never leave the batch.
+    * shuffle join (above both bounds): pairs explode to (doc_id, a, b)
       rows, hash-join against per-doc shingle rows on doc_id — the
       driver never holds the pair list at all (VERDICT r2 wrong-list
       #2).
 
-    BOTH plans then score through the same native-aggregate tail
-    (`_score_shingle_rows`): groupby(a,b,sh) side counts → groupby(a,b)
-    Sum/Count = |A∩B| / |A∪B| — no per-pair Python stage anywhere, and
-    jaccard >= tau filters INSIDE the dataset, so the driver
-    materializes only the verified-duplicate output.  Pairs with an
-    empty shingle intersection (or a doc missing from the corpus) are
-    never emitted; `tau` must be > 0."""
+    The pair-broadcast and shuffle plans score through the same
+    sort-based tail (`_score_shingle_rows`), the set broadcast through
+    its kernel (`_pair_scores`) per batch: |A∩B| / |A∪B| with no
+    per-pair Python stage, and jaccard >= tau filters INSIDE the
+    dataset, so the driver materializes only the verified-duplicate
+    output.  Pairs with an empty shingle intersection (or a doc missing
+    from the corpus) are never emitted; `tau` must be > 0."""
     import ray
 
     n_pairs = pairs.count()
     if n_pairs == 0:
         return []
     if n_pairs > max_broadcast_pairs:
-        return _verify_jaccard_shuffle(
-            ds, pairs, text_col, id_col, k, tau, n_pairs, shingle
+        sets = ds.map_batches(
+            _doc_shingle_rows, fn_args=(text_col, id_col, k, shingle),
+            batch_format="pyarrow",
         )
+        chunks, total = [], 0
+        for t in sets.iter_batches(batch_format="pyarrow", batch_size=None):
+            total += t.num_rows
+            if total > _MAX_BROADCAST_SHINGLES:
+                return _verify_jaccard_shuffle(sets, pairs, tau, n_pairs)
+            chunks.append(t)
+        return _verify_jaccard_sets(chunks, pairs, tau)
     pair_rows = pairs.take_all()  # ids only: (a, b) per candidate pair
     doc2pairs: dict = {}
     for r in pair_rows:
@@ -419,14 +436,104 @@ def verify_jaccard(
     return _score_shingle_rows(rows, tau)
 
 
-def _verify_jaccard_shuffle(ds, pairs, text_col, id_col, k, tau, n_pairs,
-                            shingle: str = "word"):
+def _doc_shingle_rows(batch: pa.Table, text_col, id_col, k, shingle) -> pa.Table:
+    """Corpus batch → per-doc DISTINCT (doc_id, sh) shingle rows."""
+    texts = batch.column(text_col).to_pylist()
+    ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
+    didx, sh = _shingles(texts, k, shingle)
+    # per-doc distinct (shingle SETS): lexsort + change-point mask
+    order = np.lexsort((sh, didx))
+    d_s, h_s = didx[order], sh[order]
+    keep = np.ones(len(d_s), dtype=bool)
+    if len(d_s) > 1:
+        keep[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
+    return pa.table(
+        {
+            "doc_id": pa.array(ids[d_s[keep]], pa.int64()),
+            "sh": pa.array(h_s[keep].view(np.int64), pa.int64()),
+        }
+    )
+
+
+# set-broadcast bounds: the corpus's (doc_id, sh) rows gathered on the
+# driver (~400 MB of int64 pairs), and the (a, b, sh) rows one kernel
+# call builds (~100 B of heap each)
+_MAX_BROADCAST_SHINGLES = 25_000_000
+_SET_ROWS_PER_CALL = 2_000_000
+
+
+def _verify_jaccard_sets(chunks: list[pa.Table], pairs, tau: float) -> list[dict]:
+    """Set-broadcast verification plan: the corpus's (doc_id, sh) rows,
+    gathered on the driver under the caller's size bound, are sorted
+    into per-doc shingle runs and ray.put once; each pairs batch is then
+    scored completely by `_score_pairs_on_sets`, so no (a, b, sh) row
+    is ever exchanged."""
+    import ray
+
+    if not any(t.num_rows for t in chunks):
+        return []  # no doc has a shingle: no pair can reach tau > 0
+    d = np.concatenate([t.column("doc_id").to_numpy() for t in chunks])
+    h = np.concatenate([t.column("sh").to_numpy() for t in chunks])
+    order = np.lexsort((h, d))
+    d, h = d[order], h[order]
+    ids, starts = np.unique(d, return_index=True)
+    ref = ray.put((ids, np.append(starts, len(d)), h))
+
+    # pairs per kernel call at the mean set size, whatever the pair
+    # block size
+    step = max(1, _SET_ROWS_PER_CALL * len(ids) // (2 * len(h)))
+
+    def score(batch: pa.Table) -> pa.Table:
+        ab_type = batch.schema.field("a").type
+        a = batch.column("a").to_numpy()
+        b = batch.column("b").to_numpy()
+        sets = ray.get(ref)
+        parts = [
+            _score_pairs_on_sets(a[i : i + step], b[i : i + step], *sets, tau)
+            for i in range(0, len(a), step)
+        ]
+        return pa.table(
+            {
+                "a": pa.array(np.concatenate([p[0] for p in parts] + [a[:0]]), ab_type),
+                "b": pa.array(np.concatenate([p[1] for p in parts] + [b[:0]]), ab_type),
+                "jaccard": pa.array(
+                    np.concatenate([p[2] for p in parts] + [np.empty(0)]), pa.float64()
+                ),
+            }
+        )
+
+    return [
+        {"a": r["a"], "b": r["b"], "jaccard": round(r["jaccard"], 4)}
+        for r in pairs.map_batches(score, batch_format="pyarrow").take_all()
+    ]
+
+
+def _score_pairs_on_sets(a, b, ids, offs, sh, tau):
+    """`_pair_scores` for the pairs (a[i], b[i]), given every doc's sorted
+    shingle run: doc ids[j] holds sh[offs[j]:offs[j + 1]] (ids sorted,
+    non-empty).  Builds each pair's (a, b, sh) rows from both runs — a
+    doc missing from `ids` contributes none — sorted by (pair, sh)."""
+    ab = np.concatenate([a, b])
+    pos = np.minimum(np.searchsorted(ids, ab), len(ids) - 1)
+    lens = np.where(ids[pos] == ab, offs[pos + 1] - offs[pos], 0)
+    pair = np.repeat(np.tile(np.arange(len(a)), 2), lens)
+    first = np.cumsum(lens) - lens  # each run's first output row
+    rsh = sh[np.repeat(offs[pos] - first, lens) + np.arange(int(lens.sum()))]
+    order = np.lexsort((rsh, pair))
+    pair = pair[order]
+    return _pair_scores(a[pair], b[pair], rsh[order], tau)
+
+
+def _verify_jaccard_shuffle(shingles, pairs, tau, n_pairs):
     """Shuffle-join verification plan: no driver-side pair state.
 
     pairs (a,b) → explode to (doc_id, a, b); corpus → per-doc DISTINCT
-    shingle rows (doc_id, sh); native hash join on doc_id; then the
-    shared sort-based scoring tail (`_score_shingle_rows`) — all
-    exchanges are native ops over fixed-width rows, fully distributed."""
+    shingle rows (doc_id, sh) (`shingles`); native hash join on doc_id;
+    then the shared sort-based scoring tail (`_score_shingle_rows`) —
+    all exchanges are native ops over fixed-width rows, fully
+    distributed."""
+    import ray
+    from ray.data import DataContext
 
     def explode_pairs(batch: pa.Table) -> pa.Table:
         a = batch.column("a")
@@ -441,32 +548,31 @@ def _verify_jaccard_shuffle(ds, pairs, text_col, id_col, k, tau, n_pairs,
             }
         )
 
-    def doc_shingles(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        ids = np.asarray(batch.column(id_col).to_pylist(), dtype=np.int64)
-        didx, sh = _shingles(texts, k, shingle)
-        # per-doc distinct (shingle SETS): lexsort + change-point mask
-        order = np.lexsort((sh, didx))
-        d_s, h_s = didx[order], sh[order]
-        keep = np.ones(len(d_s), dtype=bool)
-        if len(d_s) > 1:
-            keep[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[d_s[keep]], pa.int64()),
-                "sh": pa.array(h_s[keep].view(np.int64), pa.int64()),
-            }
-        )
-
     exploded = pairs.map_batches(explode_pairs, batch_format="pyarrow")
-    shingles = ds.map_batches(doc_shingles, batch_format="pyarrow")
-    # partition count sized by pair volume (num_blocks() raises on lazy
-    # datasets): ~50k pairs of shingle rows per reducer
-    nparts = int(max(8, min(512, n_pairs // 50_000 + 8)))
+    nparts = _join_partitions(
+        n_pairs, ray.cluster_resources(),
+        DataContext.get_current().target_max_block_size,
+    )
     joined = exploded.join(
         shingles, join_type="inner", num_partitions=nparts, on=("doc_id",)
     )
     return _score_shingle_rows(joined, tau)
+
+
+def _join_partitions(n_pairs: int, resources: dict, block_bytes: int | None) -> int:
+    """Partition count of the shuffle-verify join: ~50k pairs of shingle
+    rows per reducer (sized by pair volume: num_blocks() raises on lazy
+    datasets), capped so the join fits the cluster's `memory` resource.
+    Ray Data reserves up to 7 target-size blocks of `memory` per join
+    partition (2 inputs, 3 for the in-memory join, 2 outputs) and
+    schedules no aggregator until all of it is free; room is left for one
+    shuffle task per CPU, each reserving 1.25 blocks."""
+    nparts = int(max(8, min(512, n_pairs // 50_000 + 8)))
+    memory = resources.get("memory", 0)
+    if block_bytes and memory:
+        free = int(memory) - int(resources.get("CPU", 1)) * (5 * block_bytes // 4 + 1)
+        nparts = max(1, min(nparts, free // (7 * block_bytes + 1)))
+    return nparts
 
 
 def _pair_scores(a, b, sh, tau):

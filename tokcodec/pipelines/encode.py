@@ -6,10 +6,11 @@ Two shapes, both idiomatic Ray Data:
    distributed pass over the `n_tok` column builds skew-balanced
    partitions of ~equal token mass (pure function of input + config →
    deterministic, resumable).  The encode stage is a Dataset of
-   partition specs mapped through a *stateful actor pool*
-   (`map_batches(EncodeWorker, concurrency=N)`); each actor reads its
-   row ranges straight from storage (columns pruned), encodes with the
-   codec engine, and writes block + manifest atomically.  This is the
+   partition-spec groups mapped through a *stateful actor pool*
+   (`map_batches(EncodeWorker, concurrency=N)`); each actor reads a
+   group's row-group span straight from storage once (columns pruned),
+   encodes each partition's slice with the codec engine, and writes
+   block + manifest atomically.  This is the
    100 TB path: data moves storage→worker→storage exactly once, nothing
    transits the object store, and a dead run resumes by skipping
    complete manifests.
@@ -26,6 +27,8 @@ here the "job conf" is the plan manifest and Ray Data owns scheduling.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 import time
 
@@ -88,6 +91,27 @@ def _snap_tolerance(snap_frac: float, target_tokens: int, total: int, n_rgs: int
 
 
 # ------------------------------------------------------------- planning ----
+
+
+def _rg_offsets(md) -> np.ndarray:
+    """First-row offset of every row group of a parsed footer, plus the
+    row count at the end: [0, rows(rg0), rows(rg0..rg1), ...]."""
+    rg_rows = [md.row_group(i).num_rows for i in range(md.num_row_groups)]
+    return np.concatenate(([0], np.cumsum(rg_rows, dtype=np.int64)))
+
+
+def _spec(path: str, row_start: int, row_end: int, n_tok: int, offs: np.ndarray) -> dict:
+    """One partition spec.  rg_first/rg_last name the row groups its rows
+    overlap — the row-group span `_read_rows` decodes for it; adjacent
+    partitions with the same span share one read at encode time."""
+    return {
+        "file": os.path.abspath(path),
+        "row_start": int(row_start),
+        "row_end": int(row_end),
+        "n_tok": int(n_tok),
+        "rg_first": int(np.searchsorted(offs[1:], row_start, side="right")),
+        "rg_last": int(np.searchsorted(offs[:-1], row_end, side="left")) - 1,
+    }
 
 
 def _ntok_chunk(
@@ -214,12 +238,7 @@ def _file_token_plan(
     snap_tol = _snap_tolerance(
         snap_frac, target_tokens, total, f.metadata.num_row_groups
     )
-    rg_bounds = np.empty(0, dtype=np.int64)
-    if snap_tol > 0:
-        rg_rows = [
-            f.metadata.row_group(i).num_rows for i in range(f.metadata.num_row_groups)
-        ]
-        rg_bounds = np.concatenate(([0], np.cumsum(rg_rows, dtype=np.int64)))
+    rg_bounds = _rg_offsets(f.metadata)
     # equal-mass boundaries; a single monster row stays alone in its part.
     # Cut values are EXACT integers (ceil in int arithmetic): identical
     # to searchsorted-against-float for in-range masses, and still exact
@@ -233,17 +252,11 @@ def _file_token_plan(
             bounds.append(b)
     if bounds[-1] != n_rows:
         bounds.append(n_rows)
-    specs = []
-    for row_start, row_end in zip(bounds[:-1], bounds[1:]):
-        specs.append(
-            {
-                "file": os.path.abspath(path),
-                "row_start": int(row_start),
-                "row_end": int(row_end),
-                "n_tok": int(cum[row_end - 1] - (cum[row_start - 1] if row_start else 0)),
-            }
-        )
-    return specs
+    return [
+        _spec(path, row_start, row_end,
+              cum[row_end - 1] - (cum[row_start - 1] if row_start else 0), rg_bounds)
+        for row_start, row_end in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 _PLAN_CHUNK_RGS = 64  # row groups per stats task
@@ -277,21 +290,18 @@ def _plan_distributed(
 
     # chunk layout per file: (rg_lo, rg_hi, row_offset)
     chunks: dict[int, list[tuple[int, int, int]]] = {}
-    n_rows_of: dict[int, int] = {}
+    offs_of: dict[int, np.ndarray] = {}  # row-group offsets, for the spans
     wave1: list[tuple[int, int, object]] = []  # (fi, chunk_idx, ref)
     for fi, p in enumerate(files):
         f = pq.ParquetFile(p)
         md = f.metadata
-        n_rows_of[fi] = md.num_rows
         if token_col is None or token_col not in f.schema_arrow.names:
             continue
-        rg_rows = [md.row_group(i).num_rows for i in range(md.num_row_groups)]
-        row_off = 0
-        cl = []
-        for lo in range(0, md.num_row_groups, _PLAN_CHUNK_RGS):
-            hi = min(md.num_row_groups, lo + _PLAN_CHUNK_RGS)
-            cl.append((lo, hi, row_off))
-            row_off += sum(rg_rows[lo:hi])
+        offs_of[fi] = offs = _rg_offsets(md)
+        cl = [
+            (lo, min(md.num_row_groups, lo + _PLAN_CHUNK_RGS), int(offs[lo]))
+            for lo in range(0, md.num_row_groups, _PLAN_CHUNK_RGS)
+        ]
         chunks[fi] = cl
         for ci, (lo, hi, _) in enumerate(cl):
             wave1.append((fi, ci, total_task.remote(p, lo, hi, token_col)))
@@ -303,7 +313,7 @@ def _plan_distributed(
     wave2: list[tuple[int, object]] = []  # (fi, ref)
     file_cfg: dict[int, dict] = {}
     for fi, p in enumerate(files):
-        if fi not in chunks or n_rows_of[fi] == 0:
+        if fi not in chunks or offs_of[fi][-1] == 0:
             continue
         cl = chunks[fi]
         chunk_tot = [totals[(fi, ci)] for ci in range(len(cl))]
@@ -335,7 +345,8 @@ def _plan_distributed(
             # no token column (or empty): serial fallback reads no data
             per_file.append(_file_token_plan(p, target_tokens, token_col, snap_frac=snap_frac))
             continue
-        n_rows = n_rows_of[fi]
+        offs = offs_of[fi]
+        n_rows = int(offs[-1])
         total = file_cfg[fi]["total"]
         bounds = [0]
         cums = [0]  # global cum-mass at bound-1 (0 for bound 0)
@@ -348,17 +359,10 @@ def _plan_distributed(
             cums.append(total)
         else:
             cums[-1] = total
-        specs = []
-        for j in range(len(bounds) - 1):
-            specs.append(
-                {
-                    "file": os.path.abspath(p),
-                    "row_start": bounds[j],
-                    "row_end": bounds[j + 1],
-                    "n_tok": cums[j + 1] - cums[j],
-                }
-            )
-        per_file.append(specs)
+        per_file.append([
+            _spec(p, bounds[j], bounds[j + 1], cums[j + 1] - cums[j], offs)
+            for j in range(len(bounds) - 1)
+        ])
     return per_file
 
 
@@ -374,7 +378,8 @@ def plan_partitions(
     """Build the deterministic partition plan.
 
     Returns {"fingerprint", "config", "partitions": [spec, ...]} where each
-    spec is {pid, file, row_start, row_end, n_tok}.  Per-file token scans
+    spec is {pid, file, row_start, row_end, n_tok, rg_first, rg_last}; the
+    fingerprint covers the config only.  Per-file token scans
     run as parallel Ray tasks when a Ray session is active.
     """
     if isinstance(input_paths, str):
@@ -458,16 +463,19 @@ def _read_rows(path: str, row_start: int, row_end: int, columns: list[str] | Non
 
 
 _METRIC_KEYS = (
-    "pid", "rows", "n_tok", "bytes_in", "bytes_out", "read_s", "encode_s", "resumed",
+    "pid", "rows", "n_tok", "bytes_in", "bytes_out", "read_s", "encode_s", "read_group",
+    "resumed",
 )
 
 
 class EncodeWorker:
-    """Stateful actor-pool stage: one call encodes one (or a few)
-    partition specs end-to-end.  State (output dir, plan fingerprint,
-    column list) is bound once per actor in __init__ — the analog of the
-    reference's per-writer schema+buffer state
-    (ExampleWriteSupport.java:14-15) without any cross-partition sharing."""
+    """Stateful actor-pool stage: one call encodes one group of partition
+    specs end-to-end — adjacent partitions that overlap the same
+    row-group span, so the span is decoded once for all of them.  State
+    (output dir, plan fingerprint, column list) is bound once per actor
+    in __init__ — the analog of the reference's per-writer schema+buffer
+    state (ExampleWriteSupport.java:14-15) without any cross-partition
+    sharing."""
 
     def __init__(
         self,
@@ -487,10 +495,18 @@ class EncodeWorker:
         # + Schema.java:171-174): validate every table before encoding
         self.schema = schema
 
-    def encode_one(self, spec: dict) -> dict:
-        pid = int(spec["pid"])
-        man = mf.load_if_complete(self.out_dir, pid, self.fp)
-        if man is not None:
+    def encode_group(self, specs: list[dict]) -> list[dict]:
+        """Skip the partitions with a complete manifest, read the union
+        row range of the rest once, then encode and write each one from
+        its slice.  Returns one metrics dict per spec, in spec order."""
+        done: dict[int, dict] = {}
+        todo = []
+        for spec in specs:
+            pid = int(spec["pid"])
+            man = mf.load_if_complete(self.out_dir, pid, self.fp)
+            if man is None:
+                todo.append(spec)
+                continue
             # .get at BOTH levels: a complete manifest from an older
             # metrics layout must resume, not KeyError the run (the plan
             # fingerprint covers config, not code version)
@@ -499,10 +515,22 @@ class EncodeWorker:
             m["pid"] = pid  # always known from the spec, even when the
             # manifest's metrics dict is absent/foreign
             m["resumed"] = True
-            return m
-        t0 = time.monotonic()
-        table = _read_rows(spec["file"], int(spec["row_start"]), int(spec["row_end"]), self.columns)
-        t_read = time.monotonic() - t0
+            done[pid] = m
+        if todo:
+            lo, hi = int(todo[0]["row_start"]), int(todo[-1]["row_end"])
+            t0 = time.monotonic()
+            union = _read_rows(todo[0]["file"], lo, hi, self.columns)
+            # each partition is charged an equal share of the one read, so
+            # the sum of read_s stays the real read time
+            t_read = (time.monotonic() - t0) / len(todo)
+            for spec in todo:
+                start, end = int(spec["row_start"]), int(spec["row_end"])
+                table = union.slice(start - lo, end - start)
+                done[int(spec["pid"])] = self._encode(spec, table, t_read, len(todo))
+        return [done[int(spec["pid"])] for spec in specs]
+
+    def _encode(self, spec: dict, table: pa.Table, t_read: float, read_group: int) -> dict:
+        pid = int(spec["pid"])
         if self.schema is not None:
             self.schema.validate_table(table)
         t0 = time.monotonic()
@@ -524,6 +552,7 @@ class EncodeWorker:
             "bytes_out": len(blob),
             "read_s": round(t_read, 4),
             "encode_s": round(t_enc, 4),
+            "read_group": read_group,
             "resumed": False,
         }
         mf.write_partition(
@@ -533,8 +562,19 @@ class EncodeWorker:
         return metrics
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = [self.encode_one(spec) for spec in batch.to_pylist()]
+        out = [m for row in batch.to_pylist() for m in self.encode_group(row["specs"])]
         return pa.Table.from_pylist(out)
+
+
+def _read_groups(specs: list[dict], slots: int) -> list[list[dict]]:
+    """Adjacent specs with the same (file, rg_first, rg_last) span form one
+    group; one spec per group when grouping leaves fewer groups than
+    `slots`."""
+    span = operator.itemgetter("file", "rg_first", "rg_last")
+    groups = [list(g) for _, g in itertools.groupby(specs, key=span)]
+    if len(groups) < slots:
+        return [[s] for s in specs]
+    return groups
 
 
 def _encode_specs(
@@ -567,7 +607,15 @@ def encode_dataset(
     per run.  compute="actors" keeps the stateful actor-pool form for
     deployments that add per-actor state (e.g. a codec-plan cache).
 
-    Returns {"plan", "metrics": list of per-partition dicts, "out_dir"}.
+    One task encodes each group of adjacent partitions that overlap the
+    same row-group span (a row group bigger than the target is cut into
+    several partitions): the span is decoded once and each partition
+    encodes its slice.  When that would leave fewer tasks than CPU slots
+    (cluster CPUs capped by `concurrency`), every task holds one
+    partition instead — an idle CPU re-reads for free.
+
+    Returns {"plan", "metrics": list of per-partition dicts, "out_dir",
+    "purged", "tasks": number of encode tasks}.
     """
     import ray
     import ray.data
@@ -582,13 +630,17 @@ def encode_dataset(
     # manifests survive untouched — that's the resume path)
     purged = mf.purge_stale(out_dir, plan["fingerprint"])
 
-    specs = plan["partitions"]
-    ds = ray.data.from_items(specs)
+    ncpu = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    # Ray rejects a (min, max) tuple for plain-function map_batches — the
+    # tuple form is an actor-pool concept, so on tasks the upper bound IS
+    # the cap
+    cap = concurrency[1] if isinstance(concurrency, tuple) else concurrency
+    groups = _read_groups(plan["partitions"], min(ncpu, cap or ncpu))
+    ds = ray.data.from_items([{"specs": g} for g in groups])
     kw = dict(batch_size=1, batch_format="pyarrow", num_cpus=1)
     if compute == "actors":
         if concurrency is None:
-            ncpu = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-            concurrency = max(1, min(len(specs), ncpu - 1))
+            concurrency = max(1, min(len(groups), ncpu - 1))
         out = ds.map_batches(
             EncodeWorker,
             fn_constructor_kwargs={
@@ -600,15 +652,10 @@ def encode_dataset(
             **kw,
         )
     else:
-        if concurrency is not None:
+        if cap is not None:
             # honor the cap on the tasks path too (bounds memory / storage
-            # pressure); without this only compute="actors" respected it.
-            # Ray rejects a (min, max) tuple for plain-function
-            # map_batches — the tuple form is an actor-pool concept, so
-            # on tasks the upper bound IS the cap
-            kw["concurrency"] = (
-                concurrency[1] if isinstance(concurrency, tuple) else concurrency
-            )
+            # pressure); without this only compute="actors" respected it
+            kw["concurrency"] = cap
         out = ds.map_batches(
             _encode_specs,
             fn_kwargs={
@@ -619,7 +666,10 @@ def encode_dataset(
             **kw,
         )
     metrics = out.take_all()  # small: one metrics row per partition
-    return {"plan": plan, "metrics": metrics, "out_dir": out_dir, "purged": purged}
+    return {
+        "plan": plan, "metrics": metrics, "out_dir": out_dir, "purged": purged,
+        "tasks": len(groups),
+    }
 
 
 # ------------------------------------------------------------ decoding ----
