@@ -121,3 +121,13 @@ def test_compact_manifest_never_mislabels_rows_as_tokens(small_blocks, ray_sessi
     compact_blocks(small_blocks, out, target_tokens=10**9)
     for man in mf.list_manifests(out):
         assert "n_tok" not in man
+
+
+def test_compacted_manifests_weigh_blocks_by_decoded_bytes(small_blocks, ray_session, tmp_path):
+    """Compaction manifests record the decoded bytes the read path
+    balances on, so each compacted block decodes into one Ray block."""
+    out = str(tmp_path / "weigh")
+    res = compact_blocks(small_blocks, out, target_tokens=10**4)
+    mans = mf.list_manifests(out)
+    assert all(m["bytes_in"] > m["bytes_out"] for m in mans)
+    assert decode_dataset(out).materialize().num_blocks() == res["buckets"] == len(mans)

@@ -19,6 +19,7 @@ WORKER_MODULES = [
     "tokcodec/scanner.py",
     "tokcodec/projection.py",
     "tokcodec/predicate.py",
+    "tokcodec/sources/datasource.py",
     "tokcodec/codecs/bitpack.py",
     "tokcodec/codecs/intcodecs.py",
     "tokcodec/codecs/bytescodecs.py",

@@ -779,3 +779,144 @@ def test_fewer_spans_than_slots_reads_once_per_partition(shared_rg, tmp_path, mo
     assert len(reads) == len(plan["partitions"])
     assert all(m["read_group"] == 1 for m in metrics)
     assert _block_and_codecs(out) == _block_and_codecs(single["out_dir"])
+
+
+# ----------------------------------------------------- fused decode read ----
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_runs_contiguous_balanced_and_counted(seed):
+    from tokcodec.sources.datasource import block_runs
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    weights = [int(w) for w in rng.integers(1, 10_000, size=n)]
+    total = sum(weights)
+    for slots, target in [(4, None), (4, 10**12), (1, None), (64, None),
+                          (2, total // 7 + 1), (3, 1)]:
+        runs = block_runs(weights, slots, target)
+        # contiguous, in block order, every block exactly once, none empty
+        assert runs[0][0] == 0 and runs[-1][1] == n
+        assert all(a < b for a, b in runs)
+        assert all(runs[i][1] == runs[i + 1][0] for i in range(len(runs) - 1))
+        # count: every slot busy, no task over the target, at most n runs
+        want = min(n, slots)
+        if target:
+            want = max(want, -(-total // target))
+        assert len(runs) == min(n, want)
+        # byte-balanced: each run is off its equal share by under one block
+        share = total / len(runs)
+        for a, b in runs:
+            assert abs(sum(weights[a:b]) - share) <= max(weights)
+
+
+def test_block_runs_balance_on_weight_not_block_count():
+    from tokcodec.sources.datasource import block_runs
+
+    # one heavy block then many light ones: two runs split by weight
+    assert block_runs([100, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10], 2, None) == [
+        (0, 1), (1, 11)]
+    assert block_runs([5, 5, 5, 5], 4, 3) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert block_runs([], 4, None) == []
+
+
+def test_block_weight_falls_back_to_block_bytes():
+    from tokcodec.sources.datasource import block_weight
+
+    assert block_weight({"metrics": {"bytes_in": 700}, "block_bytes": 90}) == 700
+    assert block_weight({"bytes_in": 650, "bytes_out": 80}) == 650  # sink manifest
+    assert block_weight({"metrics": {}, "block_bytes": 90}) == 90
+    assert block_weight({"block_bytes": 90}) == 90
+    assert block_weight({"bytes_out": 80}) == 80
+
+
+def _manifest_order_rows(out: str) -> list:
+    from tokcodec import manifest as mf
+    from tokcodec.blocks import decode_file
+
+    return [d for m in mf.list_manifests(out)
+            for d in decode_file(os.path.join(out, m["block"]), columns=["doc_id"])[0]
+            .column("doc_id").to_pylist()]
+
+
+def _arrow(ds):
+    import pyarrow as pa
+
+    return pa.concat_tables(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+
+
+def test_decode_scans_return_rows_in_manifest_order(encoded):
+    _, out, _ = encoded
+    want = _manifest_order_rows(out)
+    scans = [_arrow(decode_dataset(out)) for _ in range(3)]
+    for t in scans:
+        assert t.column("doc_id").to_pylist() == want
+        assert t.equals(scans[0])
+
+
+def test_decode_emits_one_ray_block_per_tokb_block(encoded):
+    from tokcodec import manifest as mf
+
+    _, out, _ = encoded
+    assert decode_dataset(out).materialize().num_blocks() == len(mf.list_manifests(out))
+
+
+def test_decode_leaves_global_data_context_unchanged(encoded):
+    import ray.data
+
+    _, out, _ = encoded
+    ctx = ray.data.DataContext.get_current()
+    before = (ctx.target_max_block_size, ctx.execution_options.preserve_order)
+    ds = decode_dataset(out)
+    assert ds.count() > 0
+    assert ds.context.execution_options.preserve_order
+    assert ds.context is not ctx
+    after = ray.data.DataContext.get_current()
+    assert (after.target_max_block_size, after.execution_options.preserve_order) == before
+
+
+@pytest.fixture(scope="module")
+def keyed(ray_session, tmp_path_factory):
+    """Six blocks of 400 rows with disjoint, ascending key ranges."""
+    import pyarrow as pa
+
+    d = tmp_path_factory.mktemp("keyed")
+    n = 2400
+    rng = np.random.default_rng(5)
+    src = str(d / "k.parquet")
+    pq.write_table(pa.table({
+        "k": pa.array(np.arange(n), pa.int64()),
+        "v": pa.array(rng.normal(size=n)),
+        "s": pa.array([f"row{i}" for i in range(n)]),
+    }), src, row_group_size=400)
+    out = str(d / "enc")
+    encode_dataset(src, out, target_tokens=400, token_col=None)
+    return out
+
+
+def test_decode_all_pruned_is_empty_with_projected_schema(keyed):
+    from tokcodec.pipelines.encode import count_prunable_blocks
+    from tokcodec.predicate import col
+
+    expr = col("k") < -1
+    assert count_prunable_blocks(keyed, expr) == (6, 6)
+    ds = decode_dataset(keyed, columns=["s", "v"], predicate=expr)
+    assert ds.schema().names == ["v", "s"]  # file column order
+    assert ds.count() == 0
+
+
+def test_decode_schedules_only_unpruned_blocks(keyed):
+    from tokcodec import manifest as mf
+    from tokcodec.pipelines.encode import count_prunable_blocks
+    from tokcodec.predicate import col
+
+    mans = mf.list_manifests(keyed)
+    assert len(mans) == 6
+    expr = col("k") >= 800  # the first block holding k=800 starts there
+    skip, total = count_prunable_blocks(keyed, expr)
+    assert (skip, total) == (2, 6)
+    ds = decode_dataset(keyed, predicate=expr)
+    assert sorted(ds.input_files()) == [os.path.join(keyed, m["block"]) for m in mans[skip:]]
+    got = ds.materialize()
+    assert got.num_blocks() == total - skip
+    assert _arrow(got).column("k").to_pylist() == list(range(800, 2400))

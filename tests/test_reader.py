@@ -68,3 +68,29 @@ def test_evolution_new_required_field_fails(enc_dir):
     s = Schema.new_builder().required("nope", Type.INT64).build()
     with pytest.raises(ValueError, match="missing from the file schema"):
         read_decoded(enc_dir, schema=s).schema()
+
+
+def test_read_schema_applies_inside_the_read_task(enc_dir):
+    """One read operator, no extra map stage: the read schema is applied
+    to each decoded block in its task, and rows keep manifest order."""
+    import os
+
+    from tokcodec import manifest as mf
+    from tokcodec.blocks import decode_file
+
+    s = (
+        Schema.new_builder()
+        .optional("doc_id", Type.BYTES)
+        .optional("brand_new", Type.FLOAT)
+        .build()
+    )
+    ds = read_decoded(enc_dir, schema=s).materialize()
+    stats = ds.stats()
+    assert "ReadTOKB" in stats and "MapBatches" not in stats
+    mans = mf.list_manifests(enc_dir)
+    want = [d.encode() for m in mans
+            for d in decode_file(os.path.join(enc_dir, m["block"]), columns=["doc_id"])[0]
+            .column("doc_id").to_pylist()]
+    rows = ds.take_all()
+    assert [r["doc_id"] for r in rows] == want
+    assert all(r["brand_new"] is None for r in rows)

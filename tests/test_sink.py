@@ -85,3 +85,43 @@ def test_encode_dataset_schema_validation(ray_session, tmp_path):
         encode_dataset(
             src, str(tmp_path / "out"), token_col=None, schema=schema
         )
+
+
+def test_read_tokb_raw_dir_uses_the_one_read_path(ray_session, tmp_path):
+    """Blocks without manifests read through the same datasource: one
+    read operator, rows in block-name order, zone maps pruned before any
+    task is scheduled."""
+    import shutil
+
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from tokcodec.blocks import decode_file, header_stats, read_header_file
+    from tokcodec.predicate import col
+    from tokcodec.sources.sink import TokbDatasink, read_tokb
+
+    n = 3000
+    t = pa.table({"k": pa.array(np.arange(n), pa.int64()),
+                  "s": pa.array([f"r{i}" for i in range(n)])})
+    sink = str(tmp_path / "sink")
+    ray.data.from_arrow(t).repartition(6).write_datasink(TokbDatasink(sink))
+    raw = str(tmp_path / "raw")
+    os.makedirs(raw)
+    names = sorted(n for n in os.listdir(sink) if n.endswith(".tokb"))
+    for name in names:
+        shutil.copy(os.path.join(sink, name), raw)
+    paths = [os.path.join(raw, name) for name in names]
+
+    ds = read_tokb(raw).materialize()
+    assert "ReadTOKB" in ds.stats() and "MapBatches" not in ds.stats()
+    want = [k for p in paths for k in decode_file(p)[0]["k"].to_pylist()]
+    assert [r["k"] for r in ds.take_all()] == want
+    assert sorted(want) == list(range(n))
+
+    bound = header_stats(read_header_file(paths[2]))["k"]["min"]
+    kept = [p for p in paths if header_stats(read_header_file(p))["k"]["max"] >= bound]
+    assert 0 < len(kept) < len(paths)
+    pruned = read_tokb(raw, columns=["k"], predicate=col("k") >= bound)
+    assert sorted(pruned.input_files()) == kept
+    assert [r["k"] for r in pruned.take_all()] == [k for k in want if k >= bound]

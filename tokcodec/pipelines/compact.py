@@ -155,6 +155,7 @@ def compact_blocks(
                 "block": name + ".tokb",
                 "bucket": spec["bucket"],
                 "rows": merged.num_rows,
+                "bytes_in": int(merged.nbytes),
                 "bytes_out": len(blob),
                 "checksum": hashlib.sha256(blob).hexdigest(),
                 "members": list(spec["blocks"]),

@@ -40,7 +40,6 @@ from tokcodec import manifest as mf
 from tokcodec.blocks import (
     MAGIC,
     codec_summary,
-    decode_file,
     decode_table,
     encode_table,
     read_header,
@@ -617,8 +616,9 @@ def encode_dataset(
     Returns {"plan", "metrics": list of per-partition dicts, "out_dir",
     "purged", "tasks": number of encode tasks}.
     """
-    import ray
     import ray.data
+
+    from tokcodec.sources.datasource import cpu_slots
 
     os.makedirs(out_dir, exist_ok=True)
     plan = plan_partitions(
@@ -630,7 +630,7 @@ def encode_dataset(
     # manifests survive untouched — that's the resume path)
     purged = mf.purge_stale(out_dir, plan["fingerprint"])
 
-    ncpu = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    ncpu = cpu_slots()
     # Ray rejects a (min, max) tuple for plain-function map_batches — the
     # tuple form is an actor-pool concept, so on tasks the upper bound IS
     # the cap
@@ -675,22 +675,10 @@ def encode_dataset(
 # ------------------------------------------------------------ decoding ----
 
 
-def decode_dataset(
-    out_dir: str,
-    columns: list[str] | None = None,
-    predicate=None,
-    allow_partial: bool = False,
-):
-    """Encoded dir → ray.data.Dataset of decoded rows (streaming: one
-    block decodes per task; nothing materializes on the driver).
-
-    With `predicate` (a tokcodec.predicate.Expr), each task reads the
-    block HEADER first and skips the payload entirely when the
-    per-column zone-map stats prove no row can match (the reference
-    reader's FilterPredicate-over-row-group-stats role,
-    ExampleReadSupport.java:55-74); surviving blocks decode then
-    re-filter residually — exact WHERE semantics."""
-    import ray.data
+def manifest_blocks(out_dir: str, allow_partial: bool = False) -> list[tuple[str, int]]:
+    """(block path, read weight) per manifest under `out_dir`, in
+    manifest order, after the stale-plan and incomplete-encode guards."""
+    from tokcodec.sources.datasource import block_weight
 
     mans = mf.list_manifests(out_dir)
     if not mans:
@@ -729,37 +717,46 @@ def decode_dataset(
                 f"manifest (e.g. pid {sorted(missing)[0]}); resume encode_dataset "
                 "to finish it, or pass allow_partial=True to decode what exists"
             )
-    # 'pid' exists on planned-path manifests; TokbDatasink manifests are
-    # positional — both layouts decode fine
-    items = [
-        {"path": os.path.join(out_dir, m["block"]), "pid": m.get("pid", i)}
-        for i, m in enumerate(mans)
-    ]
+    return [(os.path.join(out_dir, m["block"]), block_weight(m)) for m in mans]
 
-    def _decode(batch: pa.Table) -> pa.Table:
-        tables = []
-        for row in batch.to_pylist():
-            t, _ = decode_file(row["path"], columns=columns, predicate=predicate)
-            tables.append(t)
-        return pa.concat_tables(tables)
 
-    return ray.data.from_items(items).map_batches(
-        _decode, batch_size=1, batch_format="pyarrow"
+def decode_dataset(
+    out_dir: str,
+    columns: list[str] | None = None,
+    predicate=None,
+    allow_partial: bool = False,
+):
+    """Encoded dir → ray.data.Dataset of decoded rows, in manifest order.
+
+    One Ray Data read operator: each read task decodes a contiguous run
+    of blocks, runs balanced on the manifests' decoded bytes, and emits
+    one Ray block per TOKB block (see `sources.datasource.read_blocks`);
+    nothing materializes on the driver.  Order and the per-block size
+    target are set on the returned dataset's own context, so operators
+    chained on it inherit `preserve_order` and that block-size target;
+    the global DataContext is left as it was.
+
+    With `predicate` (a tokcodec.predicate.Expr), the driver reads each
+    block HEADER first and schedules no task for a block whose per-column
+    zone-map stats prove no row can match (the reference reader's
+    FilterPredicate-over-row-group-stats role,
+    ExampleReadSupport.java:55-74); surviving blocks decode then
+    re-filter residually — exact WHERE semantics."""
+    from tokcodec.sources.datasource import read_blocks
+
+    return read_blocks(
+        manifest_blocks(out_dir, allow_partial), columns=columns, predicate=predicate
     )
 
 
 def count_prunable_blocks(out_dir: str, predicate) -> tuple[int, int]:
     """(skippable, total) blocks under `out_dir` for a predicate — the
-    zone-map check only (header reads, no payload); used by tests and
-    for plan introspection."""
-    from tokcodec.blocks import header_stats, read_header_file
+    same zone-map check `decode_dataset` runs before scheduling (header
+    reads, no payload); used by tests and for plan introspection."""
+    from tokcodec.sources.datasource import block_prunable
 
     mans = mf.list_manifests(out_dir)
-    skip = 0
-    for m in mans:
-        header = read_header_file(os.path.join(out_dir, m["block"]))
-        if not predicate.stats_may_match(header_stats(header)):
-            skip += 1
+    skip = sum(block_prunable(os.path.join(out_dir, m["block"]), predicate) for m in mans)
     return skip, len(mans)
 
 

@@ -82,11 +82,13 @@ class TokbReader:
 
     def dataset(self):
         """ray.data.Dataset of decoded rows under the resolved read
-        schema (evolution rules applied per batch, vectorized).  Only the
+        schema, in manifest order (evolution rules applied once per
+        decoded block, vectorized, inside the read task).  Only the
         requested columns that exist in the file are decoded — the
         projection pushes down into block decode (the reference's
         column-chunk pruning role, ExampleReadSupport.java:76-90)."""
-        from tokcodec.pipelines.encode import decode_dataset
+        from tokcodec.pipelines.encode import manifest_blocks
+        from tokcodec.sources.datasource import read_blocks
 
         file_schema, read_schema = self.resolve_schema()
         file_names = {f.name for f in file_schema.fields}
@@ -96,13 +98,11 @@ class TokbReader:
             # nulls/empty lists): decode ONE carrier column for the row
             # count instead of falling back to a full-table decode
             wanted = [file_schema.fields[0].name]
-        ds = decode_dataset(
-            self.out_dir,
+        return read_blocks(
+            manifest_blocks(self.out_dir),
             columns=wanted,
             predicate=getattr(self, "_predicate", None),
-        )
-        return ds.map_batches(
-            lambda t: read_schema.read_table(t), batch_format="pyarrow"
+            per_block=read_schema.read_table,
         )
 
     def schema(self) -> Schema:

@@ -22,6 +22,7 @@ from ray.data import Datasink
 
 from tokcodec import manifest as mf
 from tokcodec.blocks import encode_table
+from tokcodec.sources.datasource import read_blocks
 
 
 class TokbDatasink(Datasink):
@@ -99,42 +100,28 @@ class TokbDatasink(Datasink):
 
 
 def read_tokb(out_dir: str, columns: list[str] | None = None, predicate=None):
-    """Dataset over a TokbDatasink/encode_dataset output dir (streaming
-    decode; one task per block file).  `predicate` enables zone-map
-    block skipping + residual filtering (see blocks.decode_file).
+    """Dataset over a TokbDatasink/encode_dataset output dir, in block
+    order.  `predicate` enables zone-map block skipping + residual
+    filtering (see decode_dataset).
 
     Delegates to decode_dataset when the dir carries manifests, so the
     stale-plan / completeness guards apply here too — a raw *.tokb scan
     would silently concatenate leftover blocks from an earlier plan (the
     exact row-duplication case the manifest guard exists for).  Dirs
-    without manifests (hand-assembled blocks) fall back to the raw scan."""
-    import ray.data
-
-    from tokcodec import manifest as mf
-    from tokcodec.blocks import decode_file
-
+    without manifests (hand-assembled blocks) read their *.tokb files in
+    name order through the same datasource, weighted by file size."""
     if mf.list_manifests(out_dir):
         from tokcodec.pipelines.encode import decode_dataset
 
         return decode_dataset(out_dir, columns=columns, predicate=predicate)
 
-    names = sorted(
-        n for n in os.listdir(out_dir) if n.endswith(".tokb")
+    paths = sorted(
+        os.path.join(out_dir, n) for n in os.listdir(out_dir) if n.endswith(".tokb")
     )
-    if not names:
+    if not paths:
         raise ValueError(f"no .tokb blocks under {out_dir}")
-    items = [{"path": os.path.join(out_dir, n)} for n in names]
-
-    def _decode(batch: pa.Table) -> pa.Table:
-        tables = []
-        for row in batch.to_pylist():
-            t, _ = decode_file(row["path"], columns=columns, predicate=predicate)
-            tables.append(t)
-        return pa.concat_tables(tables)
-
-    return ray.data.from_items(items).map_batches(
-        _decode, batch_size=1, batch_format="pyarrow"
-    )
+    blocks = [(p, os.path.getsize(p)) for p in paths]
+    return read_blocks(blocks, columns=columns, predicate=predicate)
 
 
 def _read_summary(out_dir: str) -> dict:
