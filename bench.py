@@ -5,7 +5,7 @@
 
 Headline = the north-rule pipeline: planned skew-balanced encode of a
 deterministic synthetic tokenized table (doc_id, tokens:list<int32>,
-n_tok, source) sized to the SF, through the actor-pool codec engine,
+n_tok, source) sized to the SF, one Ray encode task per partition group,
 with bit-identical decode verified on a sample partition.
 
 `--scaling`: run the same job at num_cpus=8 and num_cpus=32 in fresh

@@ -142,13 +142,14 @@ def test_resume_tolerates_manifest_without_metrics(encoded, tmp_path):
 
 def test_encode_dataset_tuple_concurrency_on_tasks(fixture_parquet, tmp_path,
                                                    ray_session):
-    """The documented (min, max) concurrency must not crash the default
-    compute="tasks" path — Ray rejects tuples for plain functions, so
-    the upper bound is used as the task cap."""
+    """The documented (min, max) concurrency caps the encode tasks at
+    its upper bound, and every partition is still encoded."""
     out = str(tmp_path / "enc_tc")
     res = encode_dataset(fixture_parquet, out, target_tokens=TARGET,
                          concurrency=(1, 2))
     assert res["metrics"] and not any(m["resumed"] for m in res["metrics"])
+    assert sorted(m["pid"] for m in res["metrics"]) == [
+        s["pid"] for s in res["plan"]["partitions"]]
 
 
 def test_resume_output_byte_identical(encoded, tmp_path):
@@ -206,6 +207,18 @@ def test_stream_round_trip(ray_session, fixture_parquet):
     assert total_out <= os.path.getsize(fixture_parquet) * 1.2
 
 
+def _distributed(plan: dict) -> list[dict]:
+    """The partitions `_plan_distributed` cuts for the inputs and config
+    of a serial `plan`, numbered as plan_partitions numbers them.  Called
+    directly: plan_partitions plans inputs this small on the driver."""
+    from tokcodec.pipelines.encode import _plan_distributed
+
+    cfg = plan["config"]
+    per_file = _plan_distributed(
+        cfg["files"], cfg["target_tokens"], cfg["token_col"], cfg["snap_frac"])
+    return [dict(s, pid=i) for i, s in enumerate(s for specs in per_file for s in specs)]
+
+
 def test_parallel_plan_identical_to_serial(ray_session, tmp_path):
     """The two-wave distributed stats pass (scalar totals + exact cut
     rows; O(partitions) driver memory) must produce partitions
@@ -220,7 +233,7 @@ def test_parallel_plan_identical_to_serial(ray_session, tmp_path):
     write_fixture(str(d / "c.parquet"), n_rows=700, seed=3, row_group_size=700)
     ser = plan_partitions(str(d), target_tokens=TARGET, parallel=False)
     par = plan_partitions(str(d), target_tokens=TARGET, parallel=True)
-    assert ser["partitions"] == par["partitions"]
+    assert ser["partitions"] == _distributed(ser)
     assert ser["fingerprint"] == par["fingerprint"]
 
 
@@ -363,8 +376,40 @@ def test_parallel_plan_snap_parity(ray_session, tmp_path):
     write_fixture(str(d / "a.parquet"), n_rows=5000, seed=21, row_group_size=128)
     write_fixture(str(d / "b.parquet"), n_rows=3000, seed=22, row_group_size=512)
     ser = plan_partitions(str(d), target_tokens=TARGET, parallel=False)
-    par = plan_partitions(str(d), target_tokens=TARGET, parallel=True)
-    assert ser["partitions"] == par["partitions"]
+    assert ser["partitions"] == _distributed(ser)
+
+
+def test_small_inputs_plan_on_the_driver(ray_session, tmp_path, monkeypatch):
+    """An input within _DRIVER_PLAN_ROWS rows is planned on the driver
+    and submits no stats task; one over the bound goes through
+    _plan_distributed.  Both return the serial plan, fingerprint included."""
+    from tokcodec.pipelines import encode as enc
+    from tokcodec.synth import write_fixture
+
+    d = tmp_path / "rule"
+    d.mkdir()
+    write_fixture(str(d / "a.parquet"), n_rows=1200, seed=4, row_group_size=100)
+    write_fixture(str(d / "b.parquet"), n_rows=800, seed=6, row_group_size=100)
+    ser = plan_partitions(str(d), target_tokens=TARGET // 2, parallel=False)
+    real, calls = enc._plan_distributed, []
+
+    def refuse(*args):
+        raise AssertionError("stats tasks submitted for an input under the bound")
+
+    monkeypatch.setattr(enc, "_plan_distributed", refuse)
+    assert plan_partitions(str(d), target_tokens=TARGET // 2) == ser
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enc, "_plan_distributed", spy)
+    monkeypatch.setattr(enc, "_DRIVER_PLAN_ROWS", 2000)
+    assert plan_partitions(str(d), target_tokens=TARGET // 2) == ser
+    assert not calls
+    monkeypatch.setattr(enc, "_DRIVER_PLAN_ROWS", 1999)
+    assert plan_partitions(str(d), target_tokens=TARGET // 2) == ser
+    assert len(calls) == 1
 
 
 def test_fingerprint_tracks_file_content(tmp_path):
@@ -440,25 +485,6 @@ def test_write_fixture_dir_runs_in_one_cpu_session(tmp_path):
     assert names == sorted(os.listdir(par)) and len(names) == 4  # 3 chunks + _SUCCESS
     for n in names:
         assert (serial / n).read_bytes() == (par / n).read_bytes()
-
-
-def test_encode_actor_pool_byte_identical(ray_session, fixture_parquet, tmp_path):
-    """compute="actors" (stateful actor-pool stage) must produce blocks
-    byte-identical to the default task-pool path — same plan, same
-    deterministic codecs, different execution strategy."""
-    import tokcodec.manifest as mf
-
-    out_t = str(tmp_path / "enc_tasks")
-    out_a = str(tmp_path / "enc_actors")
-    encode_dataset(fixture_parquet, out_t, target_tokens=TARGET)
-    encode_dataset(fixture_parquet, out_a, target_tokens=TARGET, compute="actors")
-    names = sorted(n for n in os.listdir(out_t) if n.endswith(".tokb"))
-    assert names == sorted(n for n in os.listdir(out_a) if n.endswith(".tokb"))
-    for n in names:
-        with open(os.path.join(out_t, n), "rb") as f1, open(
-            os.path.join(out_a, n), "rb"
-        ) as f2:
-            assert f1.read() == f2.read(), n
 
 
 def test_read_rows_falls_back_without_memory_map(fixture_parquet, monkeypatch):
@@ -659,8 +685,6 @@ def shared_rg(ray_session, tmp_path_factory):
 def _encode_in_process(plan: dict, out: str, slots: int, monkeypatch) -> tuple[list, list]:
     """Run the encode's grouping and EncodeWorker in this process, with a
     counter on _read_rows; returns (reads, metrics)."""
-    import pyarrow as pa
-
     from tokcodec.pipelines import encode as enc
 
     reads, real = [], enc._read_rows
@@ -674,7 +698,7 @@ def _encode_in_process(plan: dict, out: str, slots: int, monkeypatch) -> tuple[l
     worker = enc.EncodeWorker(out, plan["fingerprint"], None)
     metrics = []
     for g in enc._read_groups(plan["partitions"], slots):
-        metrics += worker(pa.Table.from_pylist([{"specs": g}])).to_pylist()
+        metrics += worker.encode_group(g)
     return reads, metrics
 
 
@@ -706,8 +730,7 @@ def test_plan_spans_match_the_rows_read(ray_session, tmp_path):
     offs = np.cumsum([0] + [md.row_group(i).num_rows for i in range(md.num_row_groups)])
     for snap in (0.0, 0.4):
         ser = plan_partitions(p, target_tokens=TARGET // 3, parallel=False, snap_frac=snap)
-        par = plan_partitions(p, target_tokens=TARGET // 3, parallel=True, snap_frac=snap)
-        assert ser["partitions"] == par["partitions"]
+        assert ser["partitions"] == _distributed(ser)
         for s in ser["partitions"]:
             rgs = [i for i in range(md.num_row_groups)
                    if offs[i + 1] > s["row_start"] and offs[i] < s["row_end"]]
@@ -920,3 +943,57 @@ def test_decode_schedules_only_unpruned_blocks(keyed):
     got = ds.materialize()
     assert got.num_blocks() == total - skip
     assert _arrow(got).column("k").to_pylist() == list(range(800, 2400))
+
+
+# ------------------------------------------------------------- fan-outs ----
+
+
+def test_run_tasks_starts_every_task_in_the_first_round(ray_session, tmp_path, monkeypatch):
+    """Each of 4 tasks marks its start, then waits for all 4 marks, with
+    Ray Data's object-store budget set to what a 512 MiB store gives it.
+    At the session's default result-size target Ray Data admits one task
+    until that task ends, so the first task would time out waiting."""
+    import ray
+    import ray.data
+
+    from tokcodec.sources.datasource import run_tasks
+
+    store = ray.cluster_resources()["object_store_memory"]
+    monkeypatch.setattr(ray.data.DataContext.get_current(),
+                        "override_object_store_memory_limit_fraction",
+                        min(1.0, 256 * 2**20 / store))
+    marks = str(tmp_path)
+
+    def mark_and_wait(i: int) -> list[dict]:
+        import os
+        import time
+
+        open(os.path.join(marks, f"started-{i}"), "w").close()
+        deadline = time.monotonic() + 30
+        while len(os.listdir(marks)) < 4:
+            if time.monotonic() > deadline:
+                return [{"i": i, "all_started": False}]
+            time.sleep(0.01)
+        return [{"i": i, "all_started": True}]
+
+    rows = run_tasks(list(range(4)), mark_and_wait)
+    assert sorted(r["i"] for r in rows) == [0, 1, 2, 3]
+    assert all(r["all_started"] for r in rows)
+
+
+def test_fan_outs_leave_global_data_context_unchanged(ray_session, fixture_parquet, tmp_path):
+    import ray.data
+
+    from tokcodec.pipelines import compact_blocks
+    from tokcodec.pipelines.pack import pack_dataset
+
+    ctx = ray.data.DataContext.get_current()
+    before = (ctx.target_max_block_size, ctx.execution_options.preserve_order)
+    enc = str(tmp_path / "enc")
+    assert encode_dataset(fixture_parquet, enc, target_tokens=TARGET)["metrics"]
+    assert compact_blocks(enc, str(tmp_path / "compact"), target_tokens=2 * TARGET)["rows"]
+    assert pack_dataset(fixture_parquet, str(tmp_path / "pack"), seq_len=512,
+                        target_tokens=TARGET)["metrics"]
+    after = ray.data.DataContext.get_current()
+    assert after is ctx
+    assert (after.target_max_block_size, after.execution_options.preserve_order) == before

@@ -88,7 +88,7 @@ def compact_blocks(
 ) -> dict:
     """Compact `in_dir` into `out_dir` (must differ).  Returns
     {"buckets", "resumed", "rows", "bytes_out"}."""
-    import ray.data
+    from tokcodec.sources.datasource import run_tasks
 
     if os.path.abspath(in_dir) == os.path.abspath(out_dir):
         raise ValueError("compact in place is not supported: pick a new out_dir")
@@ -135,54 +135,39 @@ def compact_blocks(
             continue
         todo.append(spec)
 
-    def _compact(batch: pa.Table) -> pa.Table:
+    def _compact(spec: dict) -> list[dict]:
         # cfg is captured by value via cloudpickle with the closure
-        out = []
-        for spec in batch.to_pylist():
-            tabs = [
-                decode_file(os.path.join(in_dir, b))[0] for b in spec["blocks"]
-            ]
-            merged = pa.concat_tables(tabs).combine_chunks()
-            blob = encode_table(
-                merged,
-                meta={"compacted_from": len(spec["blocks"])},
-                zstd=zstd,
-                bloom_cols=bloom_cols,
-            )
-            name = f"compact-{spec['bucket']:05d}"
-            mf.atomic_write_bytes(os.path.join(out_dir, name + ".tokb"), blob)
-            man = {
-                "block": name + ".tokb",
-                "bucket": spec["bucket"],
-                "rows": merged.num_rows,
-                "bytes_in": int(merged.nbytes),
-                "bytes_out": len(blob),
-                "checksum": hashlib.sha256(blob).hexdigest(),
-                "members": list(spec["blocks"]),
-                "member_idents": list(spec["idents"]),
-                "config": cfg,
-            }
-            if spec["token_mass"]:
-                # only label token masses as tokens; a row-count fallback
-                # mass must not masquerade as n_tok downstream
-                man["n_tok"] = int(spec["mass"])
-            mf.atomic_write_json(
-                os.path.join(out_dir, name + ".manifest.json"), man
-            )
-            out.append({"rows": man["rows"], "bytes_out": man["bytes_out"]})
-        return pa.Table.from_pylist(out) if out else pa.table(
-            {"rows": pa.array([], pa.int64()), "bytes_out": pa.array([], pa.int64())}
+        tabs = [decode_file(os.path.join(in_dir, b))[0] for b in spec["blocks"]]
+        merged = pa.concat_tables(tabs).combine_chunks()
+        blob = encode_table(
+            merged,
+            meta={"compacted_from": len(spec["blocks"])},
+            zstd=zstd,
+            bloom_cols=bloom_cols,
         )
+        name = f"compact-{spec['bucket']:05d}"
+        mf.atomic_write_bytes(os.path.join(out_dir, name + ".tokb"), blob)
+        man = {
+            "block": name + ".tokb",
+            "bucket": spec["bucket"],
+            "rows": merged.num_rows,
+            "bytes_in": int(merged.nbytes),
+            "bytes_out": len(blob),
+            "checksum": hashlib.sha256(blob).hexdigest(),
+            "members": list(spec["blocks"]),
+            "member_idents": list(spec["idents"]),
+            "config": cfg,
+        }
+        if spec["token_mass"]:
+            # only label token masses as tokens; a row-count fallback
+            # mass must not masquerade as n_tok downstream
+            man["n_tok"] = int(spec["mass"])
+        mf.atomic_write_json(os.path.join(out_dir, name + ".manifest.json"), man)
+        return [{"rows": man["rows"], "bytes_out": man["bytes_out"]}]
 
-    rows = bytes_out = 0
-    if todo:
-        res = (
-            ray.data.from_items(todo)
-            .map_batches(_compact, batch_size=1, batch_format="pyarrow")
-            .take_all()
-        )
-        rows = sum(r["rows"] for r in res)
-        bytes_out = sum(r["bytes_out"] for r in res)
+    res = run_tasks(todo, _compact)
+    rows = sum(r["rows"] for r in res)
+    bytes_out = sum(r["bytes_out"] for r in res)
     # stale outputs from an earlier plan (different target): buckets past
     # the current plan's range would silently duplicate rows on decode
     valid = {s["bucket"] for s in plan}

@@ -3,14 +3,14 @@
 Two shapes, both idiomatic Ray Data:
 
 1. **Planned, resumable** (`plan_partitions` → `encode_dataset`): a cheap
-   distributed pass over the `n_tok` column builds skew-balanced
-   partitions of ~equal token mass (pure function of input + config →
-   deterministic, resumable).  The encode stage is a Dataset of
-   partition-spec groups mapped through a *stateful actor pool*
-   (`map_batches(EncodeWorker, concurrency=N)`); each actor reads a
-   group's row-group span straight from storage once (columns pruned),
-   encodes each partition's slice with the codec engine, and writes
-   block + manifest atomically.  This is the
+   pass over the `n_tok` column builds skew-balanced partitions of ~equal
+   token mass (pure function of input + config → deterministic,
+   resumable); small inputs are planned on the driver, larger ones by
+   two waves of Ray stats tasks.  The encode stage is one Ray task per
+   partition-spec group, all started at once (`run_tasks`); each task
+   reads a group's row-group span straight from storage once (columns
+   pruned), encodes each partition's slice with the codec engine, and
+   writes block + manifest atomically.  This is the
    100 TB path: data moves storage→worker→storage exactly once, nothing
    transits the object store, and a dead run resumes by skipping
    complete manifests.
@@ -260,6 +260,24 @@ def _file_token_plan(
 
 _PLAN_CHUNK_RGS = 64  # row groups per stats task
 
+# Inputs of at most this many rows (summed over their footers) are
+# planned on the driver, with no Ray task: the driver then reads no more
+# token counts than one stats task of 64 row groups of 8192 rows would,
+# and holds about 8 MiB (the int64 mass and its cumulative sum).  On
+# such inputs the two rounds of stats tasks cost more than the read.
+_DRIVER_PLAN_ROWS = _PLAN_CHUNK_RGS * 8192
+
+
+def _plan_on_driver(files: list[str]) -> bool:
+    """True when `files` hold at most `_DRIVER_PLAN_ROWS` rows in total;
+    stops parsing footers once the sum passes the bound."""
+    rows = 0
+    for p in files:
+        rows += pq.read_metadata(p).num_rows
+        if rows > _DRIVER_PLAN_ROWS:
+            return False
+    return True
+
 
 def _plan_distributed(
     files: list[str],
@@ -378,8 +396,10 @@ def plan_partitions(
 
     Returns {"fingerprint", "config", "partitions": [spec, ...]} where each
     spec is {pid, file, row_start, row_end, n_tok, rg_first, rg_last}; the
-    fingerprint covers the config only.  Per-file token scans
-    run as parallel Ray tasks when a Ray session is active.
+    fingerprint covers the config only.  With a Ray session active and
+    `parallel`, inputs over `_DRIVER_PLAN_ROWS` rows are planned by Ray
+    stats tasks (`_plan_distributed`), smaller ones on the driver; both
+    give the same plan, and the choice is not part of the config.
     """
     if isinstance(input_paths, str):
         if os.path.isdir(input_paths):
@@ -397,7 +417,7 @@ def plan_partitions(
 
     import ray
 
-    if parallel and ray.is_initialized():
+    if parallel and ray.is_initialized() and not _plan_on_driver(files):
         per_file = _plan_distributed(files, target_tokens, token_col, snap_frac)
     else:
         per_file = [
@@ -468,11 +488,11 @@ _METRIC_KEYS = (
 
 
 class EncodeWorker:
-    """Stateful actor-pool stage: one call encodes one group of partition
+    """The encode task body: `encode_group` encodes one group of partition
     specs end-to-end — adjacent partitions that overlap the same
     row-group span, so the span is decoded once for all of them.  State
-    (output dir, plan fingerprint, column list) is bound once per actor
-    in __init__ — the analog of the reference's per-writer schema+buffer
+    (output dir, plan fingerprint, column list) is bound once in
+    __init__ — the analog of the reference's per-writer schema+buffer
     state (ExampleWriteSupport.java:14-15) without any cross-partition
     sharing."""
 
@@ -560,10 +580,6 @@ class EncodeWorker:
         )
         return metrics
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = [m for row in batch.to_pylist() for m in self.encode_group(row["specs"])]
-        return pa.Table.from_pylist(out)
-
 
 def _read_groups(specs: list[dict], slots: int) -> list[list[dict]]:
     """Adjacent specs with the same (file, rg_first, rg_last) span form one
@@ -576,14 +592,6 @@ def _read_groups(specs: list[dict], slots: int) -> list[list[dict]]:
     return groups
 
 
-def _encode_specs(
-    batch: pa.Table, out_dir: str, fp: str, columns, zstd: bool, schema=None,
-    bloom_cols=None,
-) -> pa.Table:
-    w = EncodeWorker(out_dir, fp, columns, zstd, schema=schema, bloom_cols=bloom_cols)
-    return w(batch)
-
-
 def encode_dataset(
     input_paths: str | list[str],
     out_dir: str,
@@ -592,33 +600,26 @@ def encode_dataset(
     token_col: str | None = "n_tok",
     concurrency: int | tuple[int, int] | None = None,
     zstd: bool = True,
-    compute: str = "tasks",
     schema=None,
     snap_frac: float = DEFAULT_SNAP_FRAC,
     bloom_cols: list[str] | None = None,
 ) -> dict:
     """Plan → encode all partitions (skipping complete ones) → summary.
 
-    compute="tasks" (default): plain map_batches tasks — the encoder's
-    only cross-batch state is its config (dictionaries / FSST symbol
-    tables are per-partition and travel inside each block), so tasks
-    reuse Ray's warm worker pool instead of paying actor-pool spin-up
-    per run.  compute="actors" keeps the stateful actor-pool form for
-    deployments that add per-actor state (e.g. a codec-plan cache).
-
-    One task encodes each group of adjacent partitions that overlap the
-    same row-group span (a row group bigger than the target is cut into
-    several partitions): the span is decoded once and each partition
+    One Ray task encodes each group of adjacent partitions that overlap
+    the same row-group span (a row group bigger than the target is cut
+    into several partitions): the span is decoded once and each partition
     encodes its slice.  When that would leave fewer tasks than CPU slots
     (cluster CPUs capped by `concurrency`), every task holds one
-    partition instead — an idle CPU re-reads for free.
+    partition instead — an idle CPU re-reads for free.  The tasks run
+    through `sources.datasource.run_tasks`, so all of them start in the
+    first scheduling round.  `concurrency` caps the tasks running at
+    once; of a (min, max) pair the max is the cap.
 
     Returns {"plan", "metrics": list of per-partition dicts, "out_dir",
     "purged", "tasks": number of encode tasks}.
     """
-    import ray.data
-
-    from tokcodec.sources.datasource import cpu_slots
+    from tokcodec.sources.datasource import cpu_slots, run_tasks
 
     os.makedirs(out_dir, exist_ok=True)
     plan = plan_partitions(
@@ -631,41 +632,12 @@ def encode_dataset(
     purged = mf.purge_stale(out_dir, plan["fingerprint"])
 
     ncpu = cpu_slots()
-    # Ray rejects a (min, max) tuple for plain-function map_batches — the
-    # tuple form is an actor-pool concept, so on tasks the upper bound IS
-    # the cap
     cap = concurrency[1] if isinstance(concurrency, tuple) else concurrency
     groups = _read_groups(plan["partitions"], min(ncpu, cap or ncpu))
-    ds = ray.data.from_items([{"specs": g} for g in groups])
-    kw = dict(batch_size=1, batch_format="pyarrow", num_cpus=1)
-    if compute == "actors":
-        if concurrency is None:
-            concurrency = max(1, min(len(groups), ncpu - 1))
-        out = ds.map_batches(
-            EncodeWorker,
-            fn_constructor_kwargs={
-                "out_dir": out_dir, "fp": plan["fingerprint"],
-                "columns": columns, "zstd": zstd, "schema": schema,
-                "bloom_cols": bloom_cols,
-            },
-            concurrency=concurrency,
-            **kw,
-        )
-    else:
-        if cap is not None:
-            # honor the cap on the tasks path too (bounds memory / storage
-            # pressure); without this only compute="actors" respected it
-            kw["concurrency"] = cap
-        out = ds.map_batches(
-            _encode_specs,
-            fn_kwargs={
-                "out_dir": out_dir, "fp": plan["fingerprint"],
-                "columns": columns, "zstd": zstd, "schema": schema,
-                "bloom_cols": bloom_cols,
-            },
-            **kw,
-        )
-    metrics = out.take_all()  # small: one metrics row per partition
+    worker = EncodeWorker(
+        out_dir, plan["fingerprint"], columns, zstd, schema=schema, bloom_cols=bloom_cols
+    )
+    metrics = run_tasks(groups, worker.encode_group, concurrency=cap)
     return {
         "plan": plan, "metrics": metrics, "out_dir": out_dir, "purged": purged,
         "tasks": len(groups),

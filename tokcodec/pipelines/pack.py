@@ -290,8 +290,7 @@ def pack_dataset(
     concatenation of the input — loaders consume the result with plain
     ``read_parquet``.
     """
-    import ray
-    import ray.data
+    from tokcodec.sources.datasource import run_tasks
 
     if target_tokens is None:
         # partitions >> seq_len keep fragments rare; small enough to
@@ -323,20 +322,12 @@ def pack_dataset(
     bases = np.concatenate(([0], np.cumsum([s["n_tok"] for s in specs]))).astype(np.int64)
     items = [{"spec": s, "base": int(bases[i])} for i, s in enumerate(specs)]
 
-    def run(batch: pa.Table) -> pa.Table:
-        out = [
-            _pack_partition(
-                row["spec"], row["base"], seq_len, out_dir, fp, key_col, tokens_col
-            )
-            for row in batch.to_pylist()
-        ]
-        return pa.Table.from_pylist(out)
+    def run(item: dict) -> list[dict]:
+        return [_pack_partition(
+            item["spec"], item["base"], seq_len, out_dir, fp, key_col, tokens_col
+        )]
 
-    metrics = (
-        ray.data.from_items(items)
-        .map_batches(run, batch_size=1, batch_format="pyarrow", num_cpus=1)
-        .take_all()  # small: one metrics row per partition
-    )
+    metrics = run_tasks(items, run)
     n_stitched = _merge_fragments(
         os.path.join(out_dir, "fragments"),
         os.path.join(out_dir, "chunks", "stitched.parquet"),

@@ -61,7 +61,7 @@ def append_columns(
     table with the SAME row count and column names disjoint from the
     base schema.  Returns {"blocks", "rows", "skipped", "dir"}.
     """
-    import ray.data
+    from tokcodec.sources.datasource import run_tasks
 
     mans = mf.list_manifests(enc_dir)
     if not mans:
@@ -80,48 +80,38 @@ def append_columns(
             continue
         todo.append({"block": man["block"], "ident": _base_identity(man)})
 
-    def _build(batch: pa.Table) -> pa.Table:
-        out = []
-        for row in batch.to_pylist():
-            base_path = os.path.join(enc_dir, row["block"])
-            t, _meta = decode_file(base_path, columns=input_columns)
-            new_t = fn(t)
-            if new_t.num_rows != t.num_rows:
-                raise ValueError(
-                    f"sidecar fn returned {new_t.num_rows} rows for a "
-                    f"{t.num_rows}-row base block {row['block']}"
-                )
-            base_names = set(header_names(base_path))
-            clash = sorted(set(new_t.column_names) & base_names)
-            if clash:
-                raise ValueError(f"sidecar columns clash with base schema: {clash}")
-            stem = row["block"].removesuffix(".tokb")
-            blob = encode_table(
-                new_t.combine_chunks(), meta={"base": row["block"], "sidecar": name},
-                zstd=zstd,
+    def _build(row: dict) -> list[dict]:
+        base_path = os.path.join(enc_dir, row["block"])
+        t, _meta = decode_file(base_path, columns=input_columns)
+        new_t = fn(t)
+        if new_t.num_rows != t.num_rows:
+            raise ValueError(
+                f"sidecar fn returned {new_t.num_rows} rows for a "
+                f"{t.num_rows}-row base block {row['block']}"
             )
-            mf.atomic_write_bytes(os.path.join(sc_dir, stem + ".tokb"), blob)
-            man = {
-                "block": stem + ".tokb",
-                "base": row["block"],
-                "rows": new_t.num_rows,
-                "bytes_out": len(blob),
-                **row["ident"],
-            }
-            mf.atomic_write_json(os.path.join(sc_dir, stem + ".manifest.json"), man)
-            out.append({"block": man["block"], "rows": man["rows"]})
-        return pa.Table.from_pylist(out) if out else pa.table({"block": pa.array([], pa.string()), "rows": pa.array([], pa.int64())})
-
-    written = 0
-    rows = 0
-    if todo:
-        res = (
-            ray.data.from_items(todo)
-            .map_batches(_build, batch_size=1, batch_format="pyarrow")
-            .take_all()
+        base_names = set(header_names(base_path))
+        clash = sorted(set(new_t.column_names) & base_names)
+        if clash:
+            raise ValueError(f"sidecar columns clash with base schema: {clash}")
+        stem = row["block"].removesuffix(".tokb")
+        blob = encode_table(
+            new_t.combine_chunks(), meta={"base": row["block"], "sidecar": name},
+            zstd=zstd,
         )
-        written = len(res)
-        rows = sum(r["rows"] for r in res)
+        mf.atomic_write_bytes(os.path.join(sc_dir, stem + ".tokb"), blob)
+        man = {
+            "block": stem + ".tokb",
+            "base": row["block"],
+            "rows": new_t.num_rows,
+            "bytes_out": len(blob),
+            **row["ident"],
+        }
+        mf.atomic_write_json(os.path.join(sc_dir, stem + ".manifest.json"), man)
+        return [{"block": man["block"], "rows": man["rows"]}]
+
+    res = run_tasks(todo, _build)
+    written = len(res)
+    rows = sum(r["rows"] for r in res)
     return {"blocks": written, "rows": rows, "skipped": skipped, "dir": sc_dir}
 
 

@@ -10,6 +10,10 @@ on the driver first, so pruned blocks never get a task.
 `decode_dataset` (manifest dirs), `TokbReader.dataset` (read schema
 applied per block, inside the task) and `read_tokb` (raw block dirs) all
 read through here.
+
+`run_tasks` is the same operator shape for the write side's fan-outs
+(encode, compaction, packing, sidecars): one read task per work item,
+whose output is a few rows of metrics.
 """
 
 from __future__ import annotations
@@ -30,6 +34,56 @@ from tokcodec.blocks import decode_file, header_stats, read_header_file
 def cpu_slots() -> int:
     """CPU slots of the Ray session (4 when none is running yet)."""
     return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+
+
+# Until one task of an operator has finished, Ray Data assumes each
+# running task holds 2 x `target_max_block_size` of output in its buffer.
+# At the 128 MiB default that is 256 MiB per task, about all of Ray
+# Data's share of a small object store, so it admits one task and
+# starts the rest only after that one ends.  `run_tasks` results are a
+# few hundred bytes per item, so a 1 MiB target leaves the estimate at
+# 2 MiB per task and every task starts in the first scheduling round.
+RESULT_BLOCK_TARGET = 1 << 20
+
+
+class _TaskDatasource(Datasource):
+    """One read task per item; the task yields `fn(item)` as one table."""
+
+    def __init__(self, items: list, fn: Callable[[object], list[dict]]):
+        self._items = items
+        self._fn = fn
+
+    def get_name(self) -> str:
+        return "Tasks"
+
+    def estimate_inmemory_data_size(self) -> None:
+        return None
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        fn = self._fn
+        meta = BlockMetadata(num_rows=None, size_bytes=None, input_files=None, exec_stats=None)
+        return [
+            ReadTask(lambda item=item: [pa.Table.from_pylist(fn(item))], meta)
+            for item in self._items
+        ]
+
+
+def run_tasks(
+    items: list, fn: Callable[[object], list[dict]], concurrency: int | None = None
+) -> list[dict]:
+    """Run `fn(item)` for every item, one Ray task each, at most
+    `concurrency` at a time; returns all the result rows `fn` returned
+    (each call a list of small dicts), in no fixed order.
+
+    One `read_datasource` whose result-size target (`RESULT_BLOCK_TARGET`)
+    is set on the dataset's own context, never the global one."""
+    if not items:
+        return []
+    ds = ray.data.read_datasource(
+        _TaskDatasource(items, fn), override_num_blocks=len(items), concurrency=concurrency
+    )
+    ds.context.target_max_block_size = RESULT_BLOCK_TARGET
+    return ds.take_all()
 
 
 def block_weight(man: dict) -> int:
