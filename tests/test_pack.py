@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -179,3 +181,37 @@ def test_read_packed_streams(ray_session, tmp_path):
     ds = pack.read_packed(str(tmp_path / "out"), columns=["chunk_id", "n_tok"])
     rows = ds.take_all()
     assert {r["chunk_id"] for r in rows} == set(range(len(rows)))
+
+
+def test_pack_reads_each_shared_span_once(tmp_path, monkeypatch):
+    """Adjacent partitions cut from one row-group span are packed from
+    one read, and every chunk and fragment file equals the one packed
+    from its own read."""
+    from tokcodec.pipelines import encode
+    from tokcodec.pipelines.encode import _read_groups, plan_partitions
+
+    p = str(tmp_path / "tok.parquet")
+    write_fixture(p, n_rows=600, seed=5, row_group_size=100)
+    specs = plan_partitions(p, target_tokens=20_000, parallel=False)["partitions"]
+    bases = np.concatenate(([0], np.cumsum([s["n_tok"] for s in specs])))
+    specs = [{**s, "base": int(bases[i])} for i, s in enumerate(specs)]
+    groups = _read_groups(specs, 1)
+    assert len(groups) < len(specs)
+
+    reads = []
+    read_rows = encode._read_rows
+    monkeypatch.setattr(encode, "_read_rows", lambda *a: reads.append(a) or read_rows(*a))
+    rest = ("fp", "doc_id", "tokens")
+    shared = [m for g in groups for m in pack._pack_group(g, L, str(tmp_path / "shared"), *rest)]
+    assert len(reads) == len(groups)
+    assert [m["read_group"] for m in shared] == [len(g) for g in groups for _ in g]
+    for s in specs:
+        pack._pack_group([s], L, str(tmp_path / "own"), *rest)
+    assert len(reads) == len(groups) + len(specs)
+    for sub in ("chunks", "fragments"):
+        names = sorted(os.listdir(tmp_path / "own" / sub))
+        assert names == sorted(os.listdir(tmp_path / "shared" / sub))
+        assert len(names) == len(specs)
+        for n in names:
+            assert pq.read_table(tmp_path / "shared" / sub / n).equals(
+                pq.read_table(tmp_path / "own" / sub / n)), (sub, n)

@@ -141,15 +141,45 @@ def test_resume_tolerates_manifest_without_metrics(encoded, tmp_path):
 
 
 def test_encode_dataset_tuple_concurrency_on_tasks(fixture_parquet, tmp_path,
-                                                   ray_session):
+                                                   ray_session, monkeypatch):
     """The documented (min, max) concurrency caps the encode tasks at
-    its upper bound, and every partition is still encoded."""
+    its upper bound, and every partition is still encoded.  Each task
+    stamps its start and end time; at no instant do more than 2 overlap
+    (4 CPU slots, 10 tasks, each held open long enough to overlap)."""
+    import tokcodec.pipelines.encode as enc
+
+    stamps = tmp_path / "stamps"
+    stamps.mkdir()
+    stamp_dir = str(stamps)
+
+    class StampingWorker(enc.EncodeWorker):
+        def encode_group(self, specs):
+            import time
+
+            t0 = time.time()
+            out = super().encode_group(specs)
+            time.sleep(0.05)
+            with open(os.path.join(stamp_dir, f"g{specs[0]['pid']}"), "w") as f:
+                f.write(f"{t0} {time.time()}")
+            return out
+
+    monkeypatch.setattr(enc, "EncodeWorker", StampingWorker)
     out = str(tmp_path / "enc_tc")
-    res = encode_dataset(fixture_parquet, out, target_tokens=TARGET,
+    res = encode_dataset(fixture_parquet, out, target_tokens=TARGET // 2,
                          concurrency=(1, 2))
+    assert res["tasks"] >= 8
     assert res["metrics"] and not any(m["resumed"] for m in res["metrics"])
     assert sorted(m["pid"] for m in res["metrics"]) == [
         s["pid"] for s in res["plan"]["partitions"]]
+    spans = [tuple(map(float, (stamps / n).read_text().split())) for n in os.listdir(stamps)]
+    assert len(spans) == res["tasks"]
+    # a start and an end at the same instant count as no overlap
+    events = sorted([(t1, -1) for _, t1 in spans] + [(t0, 1) for t0, _ in spans])
+    running, peak = 0, 0
+    for _, d in events:
+        running += d
+        peak = max(peak, running)
+    assert peak <= 2
 
 
 def test_resume_output_byte_identical(encoded, tmp_path):
@@ -948,20 +978,12 @@ def test_decode_schedules_only_unpruned_blocks(keyed):
 # ------------------------------------------------------------- fan-outs ----
 
 
-def test_run_tasks_starts_every_task_in_the_first_round(ray_session, tmp_path, monkeypatch):
-    """Each of 4 tasks marks its start, then waits for all 4 marks, with
-    Ray Data's object-store budget set to what a 512 MiB store gives it.
-    At the session's default result-size target Ray Data admits one task
-    until that task ends, so the first task would time out waiting."""
-    import ray
-    import ray.data
-
+def test_run_tasks_starts_every_task_in_the_first_round(ray_session, tmp_path):
+    """Each of 4 tasks (one per CPU slot) marks its start, then waits for
+    all 4 marks: a fan-out that starts fewer than all 4 at once makes
+    the first task time out waiting."""
     from tokcodec.sources.datasource import run_tasks
 
-    store = ray.cluster_resources()["object_store_memory"]
-    monkeypatch.setattr(ray.data.DataContext.get_current(),
-                        "override_object_store_memory_limit_fraction",
-                        min(1.0, 256 * 2**20 / store))
     marks = str(tmp_path)
 
     def mark_and_wait(i: int) -> list[dict]:
@@ -979,6 +1001,71 @@ def test_run_tasks_starts_every_task_in_the_first_round(ray_session, tmp_path, m
     rows = run_tasks(list(range(4)), mark_and_wait)
     assert sorted(r["i"] for r in rows) == [0, 1, 2, 3]
     assert all(r["all_started"] for r in rows)
+
+
+def test_run_tasks_bounds_the_tasks_in_flight(ray_session, monkeypatch):
+    """Tasks are submitted as earlier ones finish: the driver never waits
+    on more than `concurrency` tasks, or `IN_FLIGHT_PER_SLOT` per CPU
+    slot by default, and the rows come back in item order."""
+    import ray
+
+    from tokcodec.sources import datasource
+
+    waited = []
+    real_wait = ray.wait
+
+    def wait(refs, **kw):
+        waited.append(len(refs))
+        return real_wait(refs, **kw)
+
+    monkeypatch.setattr(ray, "wait", wait)
+    items = list(range(40))
+    for concurrency, cap in ((None, datasource.IN_FLIGHT_PER_SLOT * datasource.cpu_slots()),
+                             (3, 3)):
+        waited.clear()
+        rows = datasource.run_tasks(items, lambda i: [{"i": i}], concurrency=concurrency)
+        assert [r["i"] for r in rows] == items
+        assert max(waited) == cap and len(waited) == len(items)
+
+
+def test_run_tasks_retries_a_lost_worker(ray_session, tmp_path):
+    """A worker process that dies mid-task is retried (as Ray Data's own
+    tasks were): every item's rows still come back."""
+    from tokcodec.sources.datasource import run_tasks
+
+    died = str(tmp_path / "died")
+
+    def die_once(i: int) -> list[dict]:
+        import os
+
+        if i == 2 and not os.path.exists(died):
+            open(died, "w").close()
+            os._exit(1)
+        return [{"i": i}]
+
+    rows = run_tasks(list(range(4)), die_once)
+    assert os.path.exists(died)
+    assert sorted(r["i"] for r in rows) == [0, 1, 2, 3]
+
+
+def test_run_tasks_stops_at_the_first_error(ray_session, tmp_path):
+    """An application error is not retried: it surfaces as its own type,
+    and no later item starts."""
+    from tokcodec.sources.datasource import run_tasks
+
+    marks = str(tmp_path)
+
+    def fail_first(i: int) -> list[dict]:
+        import os
+
+        open(os.path.join(marks, f"started-{i}"), "w").close()
+        if i == 0:
+            raise ValueError("item 0 is bad")
+        return [{"i": i}]
+
+    with pytest.raises(ValueError, match="item 0 is bad"):
+        run_tasks(list(range(4)), fail_first, concurrency=1)
+    assert os.listdir(marks) == ["started-0"]
 
 
 def test_fan_outs_leave_global_data_context_unchanged(ray_session, fixture_parquet, tmp_path):

@@ -144,14 +144,14 @@ def cmd_verify(args) -> int:
     is NaN-aware bit identity (tables_bit_identical), not Table.equals."""
     from tokcodec import manifest as mf
     from tokcodec.blocks import decode_table
+    from tokcodec.sources.datasource import run_tasks
 
     _init_ray(args.num_cpus)
-    import ray
 
+    out_dir = args.encoded
     src_override = getattr(args, "input", None)
 
-    @ray.remote(num_cpus=1)
-    def check(out_dir: str, man: dict) -> dict:
+    def check(man: dict) -> list[dict]:
         from tokcodec.pipelines.encode import _read_rows
 
         with open(os.path.join(out_dir, man["block"]), "rb") as f:
@@ -169,17 +169,17 @@ def cmd_verify(args) -> int:
                 else os.path.join(src_override, os.path.basename(src))
             )
         ref = _read_rows(src, lin["row_start"], lin["row_end"], dec.column_names)
-        return {
+        return [{
             "pid": man["pid"],
             "ok": tables_bit_identical(dec, ref),
             "rows": dec.num_rows,
-        }
+        }]
 
     mans = mf.list_manifests(args.encoded)
     if not mans:
         print(json.dumps({"error": f"no manifests under {args.encoded}"}))
         return 1
-    results = ray.get([check.remote(args.encoded, m) for m in mans])
+    results = run_tasks(mans, check)
     bad = [r["pid"] for r in results if not r["ok"]]
     print(json.dumps({"partitions": len(results), "rows": sum(r["rows"] for r in results),
                       "bit_identical": not bad, "bad_pids": bad}))
@@ -226,12 +226,13 @@ def cmd_audit(args) -> int:
     needs only the encoded dir).  Blocks whose manifests predate the
     checksum field are reported as unknown, not failed."""
     from tokcodec import manifest as mf
+    from tokcodec.sources.datasource import run_tasks
 
     _init_ray(args.num_cpus)
-    import ray
 
-    @ray.remote(num_cpus=1)
-    def check(out_dir: str, man: dict) -> dict:
+    out_dir = args.encoded
+
+    def check(man: dict) -> list[dict]:
         import hashlib
 
         path = os.path.join(out_dir, man["block"])
@@ -239,17 +240,17 @@ def cmd_audit(args) -> int:
             with open(path, "rb") as f:
                 digest = hashlib.sha256(f.read()).hexdigest()
         except OSError as ex:
-            return {"block": man["block"], "state": f"unreadable: {ex}"}
+            return [{"block": man["block"], "state": f"unreadable: {ex}"}]
         want = man.get("checksum")
         if want is None:
-            return {"block": man["block"], "state": "unknown"}
-        return {"block": man["block"], "state": "ok" if digest == want else "CORRUPT"}
+            return [{"block": man["block"], "state": "unknown"}]
+        return [{"block": man["block"], "state": "ok" if digest == want else "CORRUPT"}]
 
     mans = mf.list_manifests(args.encoded)
     if not mans:
         print(json.dumps({"error": f"no manifests under {args.encoded}"}))
         return 1
-    results = ray.get([check.remote(args.encoded, m) for m in mans])
+    results = run_tasks(mans, check)
     bad = [r["block"] for r in results if r["state"] not in ("ok", "unknown")]
     unknown = sum(1 for r in results if r["state"] == "unknown")
     print(json.dumps({"blocks": len(results), "ok": len(results) - len(bad) - unknown,

@@ -6,8 +6,9 @@ Two shapes, both idiomatic Ray Data:
    pass over the `n_tok` column builds skew-balanced partitions of ~equal
    token mass (pure function of input + config → deterministic,
    resumable); small inputs are planned on the driver, larger ones by
-   two waves of Ray stats tasks.  The encode stage is one Ray task per
-   partition-spec group, all started at once (`run_tasks`); each task
+   two waves of Ray stats tasks.  The encode stage is one plain Ray
+   task per partition-spec group, a bounded number in flight with every
+   CPU slot busy from the first round (`run_tasks`); each task
    reads a group's row-group span straight from storage once (columns
    pruned), encodes each partition's slice with the codec engine, and
    writes block + manifest atomically.  This is the
@@ -481,6 +482,21 @@ def _read_rows(path: str, row_start: int, row_end: int, columns: list[str] | Non
     return t.slice(row_start - base, row_end - row_start)
 
 
+def _read_slices(specs: list[dict], columns: list[str] | None) -> tuple[list[pa.Table], float]:
+    """Read the union row range of adjacent specs of one file once;
+    returns each spec's slice of it and each spec's equal share of the
+    read time (so a sum of the shares stays the real read time)."""
+    lo, hi = int(specs[0]["row_start"]), int(specs[-1]["row_end"])
+    t0 = time.monotonic()
+    union = _read_rows(specs[0]["file"], lo, hi, columns)
+    t_read = (time.monotonic() - t0) / len(specs)
+    tables = [
+        union.slice(int(s["row_start"]) - lo, int(s["row_end"]) - int(s["row_start"]))
+        for s in specs
+    ]
+    return tables, t_read
+
+
 _METRIC_KEYS = (
     "pid", "rows", "n_tok", "bytes_in", "bytes_out", "read_s", "encode_s", "read_group",
     "resumed",
@@ -536,15 +552,8 @@ class EncodeWorker:
             m["resumed"] = True
             done[pid] = m
         if todo:
-            lo, hi = int(todo[0]["row_start"]), int(todo[-1]["row_end"])
-            t0 = time.monotonic()
-            union = _read_rows(todo[0]["file"], lo, hi, self.columns)
-            # each partition is charged an equal share of the one read, so
-            # the sum of read_s stays the real read time
-            t_read = (time.monotonic() - t0) / len(todo)
-            for spec in todo:
-                start, end = int(spec["row_start"]), int(spec["row_end"])
-                table = union.slice(start - lo, end - start)
+            tables, t_read = _read_slices(todo, self.columns)
+            for spec, table in zip(todo, tables):
                 done[int(spec["pid"])] = self._encode(spec, table, t_read, len(todo))
         return [done[int(spec["pid"])] for spec in specs]
 
@@ -612,9 +621,10 @@ def encode_dataset(
     encodes its slice.  When that would leave fewer tasks than CPU slots
     (cluster CPUs capped by `concurrency`), every task holds one
     partition instead — an idle CPU re-reads for free.  The tasks run
-    through `sources.datasource.run_tasks`, so all of them start in the
-    first scheduling round.  `concurrency` caps the tasks running at
-    once; of a (min, max) pair the max is the cap.
+    as plain Ray tasks through `sources.datasource.run_tasks`: every CPU
+    slot starts one in the first round, and no Ray Data execution is
+    started.  `concurrency` caps the tasks running at once; of a
+    (min, max) pair the max is the cap.
 
     Returns {"plan", "metrics": list of per-partition dicts, "out_dir",
     "purged", "tasks": number of encode tasks}.

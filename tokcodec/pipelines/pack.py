@@ -14,7 +14,9 @@ partition plan (``plan_partitions`` — the same ~0.1% stats pass) gives
 each partition its GLOBAL base token offset, so every partition packs
 its complete chunks independently and in parallel — zero shuffle for
 the interior, and the chunk construction is O(1) Arrow work (one
-contiguous value slice + arange offsets), not per-chunk Python.  Only
+contiguous value slice + arange offsets), not per-chunk Python.
+Adjacent partitions cut from the same row-group span are packed by one
+task from one read, as in ``encode_dataset``.  Only
 the ≤2 ragged edges of each partition (spans that don't cover a whole
 chunk) become "fragment" rows; they are written to a tiny side dir
 during the pass, then stitched on the driver from O(partitions) rows.
@@ -37,7 +39,7 @@ import pyarrow.parquet as pq
 import json
 
 from tokcodec import manifest as mf
-from tokcodec.pipelines.encode import _read_rows, plan_partitions
+from tokcodec.pipelines.encode import _read_groups, _read_slices, plan_partitions
 
 DEFAULT_SEQ_LEN = 2048
 
@@ -97,35 +99,75 @@ def _list_slice(flat: np.ndarray, bounds: np.ndarray) -> pa.ListArray:
     return pa.ListArray.from_arrays(pa.array(offs), pa.array(vals, type=pa.int32()))
 
 
+def _part_paths(out_dir: str, pid: int) -> tuple[str, str, str]:
+    """Partition `pid`'s chunk file, fragment file and state marker."""
+    return (
+        os.path.join(out_dir, "chunks", f"part-{pid:05d}.parquet"),
+        os.path.join(out_dir, "fragments", f"part-{pid:05d}.parquet"),
+        os.path.join(out_dir, "state", f"part-{pid:05d}.json"),
+    )
+
+
+def _pack_resumed(pid: int, out_dir: str, fp: str) -> dict | None:
+    """The metrics of partition `pid` when its outputs and its
+    fingerprint-stamped marker under ``out_dir/state`` are complete."""
+    part_path, frag_path, done = _part_paths(out_dir, pid)
+    if not os.path.exists(done):
+        return None
+    with open(done) as f:
+        man = json.load(f)
+    if man.get("fp") == fp and os.path.exists(part_path) and os.path.exists(frag_path):
+        m = dict(man["metrics"])
+        m["resumed"] = True
+        return m
+    return None
+
+
+def _pack_group(
+    specs: list[dict], seq_len: int, out_dir: str, fp: str, key_col: str, tokens_col: str
+) -> list[dict]:
+    """Pack a group of adjacent partitions that overlap the same
+    row-group span: skip the complete ones, read the union row range of
+    the rest once, then pack each from its slice.  Returns one metrics
+    dict per spec, in spec order."""
+    done: dict[int, dict] = {}
+    todo = []
+    for spec in specs:
+        m = _pack_resumed(int(spec["pid"]), out_dir, fp)
+        if m is None:
+            todo.append(spec)
+        else:
+            done[int(spec["pid"])] = m
+    if todo:
+        tables, t_read = _read_slices(todo, [key_col, tokens_col])
+        for spec, table in zip(todo, tables):
+            done[int(spec["pid"])] = _pack_partition(
+                spec, table, t_read, len(todo), seq_len, out_dir, fp, key_col, tokens_col
+            )
+    return [done[int(spec["pid"])] for spec in specs]
+
+
 def _pack_partition(
     spec: dict,
-    base: int,
+    table: pa.Table,
+    t_read: float,
+    read_group: int,
     seq_len: int,
     out_dir: str,
     fp: str,
     key_col: str,
     tokens_col: str,
 ) -> dict:
-    """Pack one partition: complete chunks to
+    """Pack one partition's rows `table`, whose first token sits at
+    global offset ``spec["base"]``: complete chunks to
     ``out_dir/chunks/part-{pid}.parquet``, ragged edges to
-    ``out_dir/fragments/part-{pid}.parquet`` (both atomic); returns
-    metrics.  Resumes via a fingerprint-stamped marker under ``out_dir/state``."""
+    ``out_dir/fragments/part-{pid}.parquet`` (both atomic), then the
+    fingerprint-stamped marker under ``out_dir/state``; returns
+    metrics."""
     pid = int(spec["pid"])
-    part_path = os.path.join(out_dir, "chunks", f"part-{pid:05d}.parquet")
-    frag_path = os.path.join(out_dir, "fragments", f"part-{pid:05d}.parquet")
-    done = os.path.join(out_dir, "state", f"part-{pid:05d}.json")
-    if os.path.exists(done):
-        with open(done) as f:
-            man = json.load(f)
-        if man.get("fp") == fp and os.path.exists(part_path) and os.path.exists(frag_path):
-            m = dict(man["metrics"])
-            m["resumed"] = True
-            return m
-
+    base = int(spec["base"])
+    part_path, frag_path, done = _part_paths(out_dir, pid)
     t0 = time.monotonic()
-    table = _read_rows(
-        spec["file"], int(spec["row_start"]), int(spec["row_end"]), [key_col, tokens_col]
-    )
     tok_col = table.column(tokens_col).combine_chunks()
     if isinstance(tok_col, pa.ChunkedArray):  # pragma: no cover - 1 chunk
         tok_col = tok_col.chunk(0)
@@ -209,7 +251,9 @@ def _pack_partition(
         "n_tok": mass,
         "complete_chunks": int(complete.num_rows),
         "fragments": int(frags.num_rows),
+        "read_s": round(t_read, 4),
         "pack_s": round(time.monotonic() - t0, 4),
+        "read_group": read_group,
         "resumed": False,
     }
     mf.atomic_write_json(done, {"fp": fp, "metrics": metrics})
@@ -290,7 +334,7 @@ def pack_dataset(
     concatenation of the input — loaders consume the result with plain
     ``read_parquet``.
     """
-    from tokcodec.sources.datasource import run_tasks
+    from tokcodec.sources.datasource import cpu_slots, run_tasks
 
     if target_tokens is None:
         # partitions >> seq_len keep fragments rare; small enough to
@@ -320,14 +364,14 @@ def pack_dataset(
     specs = plan["partitions"]
     purged = _purge_stale_pack(out_dir, fp, len(specs))
     bases = np.concatenate(([0], np.cumsum([s["n_tok"] for s in specs]))).astype(np.int64)
-    items = [{"spec": s, "base": int(bases[i])} for i, s in enumerate(specs)]
+    groups = _read_groups(
+        [{**s, "base": int(bases[i])} for i, s in enumerate(specs)], cpu_slots()
+    )
 
-    def run(item: dict) -> list[dict]:
-        return [_pack_partition(
-            item["spec"], item["base"], seq_len, out_dir, fp, key_col, tokens_col
-        )]
+    def run(group: list[dict]) -> list[dict]:
+        return _pack_group(group, seq_len, out_dir, fp, key_col, tokens_col)
 
-    metrics = run_tasks(items, run)
+    metrics = run_tasks(groups, run)
     n_stitched = _merge_fragments(
         os.path.join(out_dir, "fragments"),
         os.path.join(out_dir, "chunks", "stitched.parquet"),

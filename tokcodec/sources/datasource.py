@@ -1,4 +1,5 @@
-"""Ray Data datasource for TOKB blocks: the one decode path.
+"""The Ray fan-outs: a Ray Data datasource for TOKB blocks (the one
+decode path) and the write side's plain-task fan-out.
 
 `read_blocks` turns an ordered list of (block path, weight) into ONE
 `ray.data.read_datasource` operator.  Each read task decodes a contiguous
@@ -11,13 +12,16 @@ on the driver first, so pruned blocks never get a task.
 applied per block, inside the task) and `read_tokb` (raw block dirs) all
 read through here.
 
-`run_tasks` is the same operator shape for the write side's fan-outs
-(encode, compaction, packing, sidecars): one read task per work item,
-whose output is a few rows of metrics.
+`run_tasks` runs the write side's fan-outs (encode, compaction,
+packing, sidecars, `cli verify`/`audit`) as plain Ray tasks, a bounded
+number in flight.  Each task reads and writes storage itself and
+returns a few rows of metrics, so no block enters the object store and
+a Ray Data execution would only add its fixed per-run cost.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterator
 
@@ -36,54 +40,61 @@ def cpu_slots() -> int:
     return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
 
 
-# Until one task of an operator has finished, Ray Data assumes each
-# running task holds 2 x `target_max_block_size` of output in its buffer.
-# At the 128 MiB default that is 256 MiB per task, about all of Ray
-# Data's share of a small object store, so it admits one task and
-# starts the rest only after that one ends.  `run_tasks` results are a
-# few hundred bytes per item, so a 1 MiB target leaves the estimate at
-# 2 MiB per task and every task starts in the first scheduling round.
-RESULT_BLOCK_TARGET = 1 << 20
+# `run_tasks` keeps this many tasks per CPU slot in flight: every slot
+# starts in the first round, and a finishing task always has a
+# submitted successor.
+IN_FLIGHT_PER_SLOT = 2
 
 
-class _TaskDatasource(Datasource):
-    """One read task per item; the task yields `fn(item)` as one table."""
-
-    def __init__(self, items: list, fn: Callable[[object], list[dict]]):
-        self._items = items
-        self._fn = fn
-
-    def get_name(self) -> str:
-        return "Tasks"
-
-    def estimate_inmemory_data_size(self) -> None:
-        return None
-
-    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        fn = self._fn
-        meta = BlockMetadata(num_rows=None, size_bytes=None, input_files=None, exec_stats=None)
-        return [
-            ReadTask(lambda item=item: [pa.Table.from_pylist(fn(item))], meta)
-            for item in self._items
-        ]
+@ray.remote(
+    # what Ray Data gives its own tasks: retry a lost worker without
+    # end, and a system error raised from task code, but no application
+    # error; never inherit the caller's placement group.  Every task body
+    # is idempotent (atomic writes, resume skips complete partitions).
+    max_retries=-1,
+    retry_exceptions=[ray.exceptions.RaySystemError],
+    scheduling_strategy="DEFAULT",
+)
+def _apply(fn: Callable[[object], list[dict]], item) -> list[dict]:
+    return fn(item)
 
 
 def run_tasks(
     items: list, fn: Callable[[object], list[dict]], concurrency: int | None = None
 ) -> list[dict]:
     """Run `fn(item)` for every item, one Ray task each, at most
-    `concurrency` at a time; returns all the result rows `fn` returned
-    (each call a list of small dicts), in no fixed order.
+    `concurrency` at a time (default `IN_FLIGHT_PER_SLOT` per CPU slot);
+    returns all the result rows `fn` returned (each call a list of small
+    dicts), in item order.
 
-    One `read_datasource` whose result-size target (`RESULT_BLOCK_TARGET`)
-    is set on the dataset's own context, never the global one."""
+    Plain tasks of one module-level remote function, `fn` shipped once
+    per call: the tasks move no data, so a Ray Data execution would add
+    only its fixed start-up cost.  Tasks are submitted as earlier ones
+    finish, never all at once.  The first error cancels the tasks still
+    running and is raised (a `RayTaskError` is also an instance of the
+    task's own exception type)."""
     if not items:
         return []
-    ds = ray.data.read_datasource(
-        _TaskDatasource(items, fn), override_num_blocks=len(items), concurrency=concurrency
-    )
-    ds.context.target_max_block_size = RESULT_BLOCK_TARGET
-    return ds.take_all()
+    cap = concurrency or IN_FLIGHT_PER_SLOT * cpu_slots()
+    fn_ref = ray.put(fn)
+    todo = iter(enumerate(items))
+    running: dict = {}
+    results: list = [None] * len(items)
+
+    def submit(n: int) -> None:
+        for i, item in itertools.islice(todo, n):
+            running[_apply.remote(fn_ref, item)] = i
+
+    try:
+        submit(cap)
+        while running:
+            [ref], _ = ray.wait(list(running), num_returns=1)
+            results[running.pop(ref)] = ray.get(ref)
+            submit(1)
+    finally:
+        for ref in running:
+            ray.cancel(ref)
+    return [row for rows in results for row in rows]
 
 
 def block_weight(man: dict) -> int:
