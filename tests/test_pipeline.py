@@ -238,22 +238,26 @@ def test_stream_round_trip(ray_session, fixture_parquet):
 
 
 def _distributed(plan: dict) -> list[dict]:
-    """The partitions `_plan_distributed` cuts for the inputs and config
-    of a serial `plan`, numbered as plan_partitions numbers them.  Called
-    directly: plan_partitions plans inputs this small on the driver."""
-    from tokcodec.pipelines.encode import _plan_distributed
+    """The partitions of the fan-out path for the inputs and config of a
+    serial `plan`: `_file_token_plan` in one `run_tasks` task per file,
+    numbered as plan_partitions numbers them.  Called directly:
+    plan_partitions plans inputs this small on the driver."""
+    import functools
+
+    from tokcodec.pipelines.encode import _file_token_plan
+    from tokcodec.sources.datasource import run_tasks
 
     cfg = plan["config"]
-    per_file = _plan_distributed(
-        cfg["files"], cfg["target_tokens"], cfg["token_col"], cfg["snap_frac"])
-    return [dict(s, pid=i) for i, s in enumerate(s for specs in per_file for s in specs)]
+    specs = run_tasks(cfg["files"], functools.partial(
+        _file_token_plan, target_tokens=cfg["target_tokens"], token_col=cfg["token_col"],
+        snap_frac=cfg["snap_frac"]))
+    return [dict(s, pid=i) for i, s in enumerate(specs)]
 
 
 def test_parallel_plan_identical_to_serial(ray_session, tmp_path):
-    """The two-wave distributed stats pass (scalar totals + exact cut
-    rows; O(partitions) driver memory) must produce partitions
-    bit-identical to the serial full-cumsum plan, across multiple files
-    with different row-group layouts."""
+    """Planning in Ray tasks (one per file; only specs come back to the
+    driver) must produce partitions bit-identical to the serial plan,
+    across multiple files with different row-group layouts."""
     from tokcodec.synth import write_fixture
 
     d = tmp_path / "multi"
@@ -396,9 +400,8 @@ def test_plan_snap_keeps_exact_cut_inside_monster_group(tmp_path):
 
 
 def test_parallel_plan_snap_parity(ray_session, tmp_path):
-    """Snapping must not break serial/distributed parity: the wave-2 cut
-    tasks see the same row-group boundary candidates as the serial
-    planner (chunk edges are themselves row-group boundaries)."""
+    """Snapping must not break serial/fan-out parity: each planning task
+    sees the same row-group boundary candidates as the serial planner."""
     from tokcodec.synth import write_fixture
 
     d = tmp_path / "snapmulti"
@@ -411,9 +414,10 @@ def test_parallel_plan_snap_parity(ray_session, tmp_path):
 
 def test_small_inputs_plan_on_the_driver(ray_session, tmp_path, monkeypatch):
     """An input within _DRIVER_PLAN_ROWS rows is planned on the driver
-    and submits no stats task; one over the bound goes through
-    _plan_distributed.  Both return the serial plan, fingerprint included."""
+    and submits no planning task; one over the bound is planned through
+    run_tasks.  Both return the serial plan, fingerprint included."""
     from tokcodec.pipelines import encode as enc
+    from tokcodec.sources import datasource
     from tokcodec.synth import write_fixture
 
     d = tmp_path / "rule"
@@ -421,25 +425,92 @@ def test_small_inputs_plan_on_the_driver(ray_session, tmp_path, monkeypatch):
     write_fixture(str(d / "a.parquet"), n_rows=1200, seed=4, row_group_size=100)
     write_fixture(str(d / "b.parquet"), n_rows=800, seed=6, row_group_size=100)
     ser = plan_partitions(str(d), target_tokens=TARGET // 2, parallel=False)
-    real, calls = enc._plan_distributed, []
+    real, calls = datasource.run_tasks, []
 
-    def refuse(*args):
-        raise AssertionError("stats tasks submitted for an input under the bound")
+    def refuse(*args, **kwargs):
+        raise AssertionError("planning tasks submitted for an input under the bound")
 
-    monkeypatch.setattr(enc, "_plan_distributed", refuse)
+    monkeypatch.setattr(datasource, "run_tasks", refuse)
     assert plan_partitions(str(d), target_tokens=TARGET // 2) == ser
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(enc, "_plan_distributed", spy)
+    monkeypatch.setattr(datasource, "run_tasks", spy)
     monkeypatch.setattr(enc, "_DRIVER_PLAN_ROWS", 2000)
     assert plan_partitions(str(d), target_tokens=TARGET // 2) == ser
     assert not calls
     monkeypatch.setattr(enc, "_DRIVER_PLAN_ROWS", 1999)
     assert plan_partitions(str(d), target_tokens=TARGET // 2) == ser
     assert len(calls) == 1
+
+
+def _zero_run_fixture(path: str) -> str:
+    """1,300 rows in row groups of 10, n_tok 1 except rows 630-639 at 0
+    and row 640 at 200: at target 50 a cut falls next to the zero-mass
+    row group, where two boundaries tie on deviation."""
+    import pyarrow as pa
+
+    n_tok = np.ones(1300, dtype=np.int32)
+    n_tok[630:640] = 0
+    n_tok[640] = 200
+    table = pa.table({"doc_id": np.arange(1300, dtype=np.int64), "n_tok": n_tok})
+    pq.write_table(table, path, row_group_size=10)
+    return path
+
+
+def test_plan_same_on_driver_and_in_tasks(ray_session, tmp_path, monkeypatch):
+    """The plan cut on the driver and the plan cut in planning tasks are
+    the same where a zero-mass row group ties two cut candidates."""
+    from tokcodec.pipelines import encode as enc
+
+    p = _zero_run_fixture(str(tmp_path / "z.parquet"))
+    driver = plan_partitions(p, target_tokens=50)
+    monkeypatch.setattr(enc, "_DRIVER_PLAN_ROWS", 0)
+    assert plan_partitions(p, target_tokens=50) == driver
+
+
+def test_resume_across_planning_paths_keeps_every_row(ray_session, tmp_path, monkeypatch):
+    """An encode planned on the driver, cut short after pid 12, then
+    resumed with planning tasks decodes every row exactly once."""
+    from tokcodec.pipelines import encode as enc
+
+    p = _zero_run_fixture(str(tmp_path / "z.parquet"))
+    out = str(tmp_path / "enc")
+    monkeypatch.setattr(enc, "_DRIVER_PLAN_ROWS", 10**9)
+    encode_dataset(p, out, target_tokens=50)
+    for name in os.listdir(out):
+        m = re.match(r"part-(\d+)\.", name)
+        if m and int(m.group(1)) >= 13:
+            os.remove(os.path.join(out, name))
+    monkeypatch.setattr(enc, "_DRIVER_PLAN_ROWS", 0)
+    encode_dataset(p, out, target_tokens=50)
+    ids = decode_dataset(out).to_pandas()["doc_id"].tolist()
+    assert sorted(ids) == list(range(1300))
+
+
+def test_resume_reencodes_manifest_of_other_rows(encoded, tmp_path):
+    """A complete manifest under the plan's fingerprint whose lineage is
+    not its spec's row range is re-encoded, not resumed."""
+    import json
+
+    import pyarrow as pa
+
+    src, out, _ = encoded
+    out2 = str(tmp_path / "enc_lin")
+    shutil.copytree(out, out2)
+    mp = os.path.join(out2, "part-00001.manifest.json")
+    with open(mp) as f:
+        man = json.load(f)
+    man["lineage"]["row_end"] -= 1
+    with open(mp, "w") as f:
+        json.dump(man, f)
+    res = encode_dataset(src, out2, target_tokens=TARGET)
+    assert [m["pid"] for m in res["metrics"] if not m["resumed"]] == [1]
+    back = pa.concat_tables(
+        decode_dataset(out2).iter_batches(batch_format="pyarrow", batch_size=None))
+    assert back.equals(pq.read_table(src))
 
 
 def test_fingerprint_tracks_file_content(tmp_path):
@@ -752,7 +823,7 @@ def _block_and_codecs(out: str) -> dict:
 
 def test_plan_spans_match_the_rows_read(ray_session, tmp_path):
     """rg_first/rg_last are exactly the row groups a spec's rows overlap,
-    for snapped and exact (mid-row-group) cuts, in both planners."""
+    for snapped and exact (mid-row-group) cuts, on both planning paths."""
     from tokcodec.synth import write_fixture
 
     p = write_fixture(str(tmp_path / "s.parquet"), n_rows=3000, seed=9, row_group_size=250)

@@ -138,50 +138,62 @@ def tables_bit_identical(a, b) -> bool:
 
 
 def cmd_verify(args) -> int:
-    """Round-trip verification: decode and compare against the source,
-    per partition (order-preserving within partitions, so no join/shuffle
-    is needed — lineage row ranges come from the manifests).  Comparison
-    is NaN-aware bit identity (tables_bit_identical), not Table.equals."""
+    """Round-trip verification: decode every block and compare it with
+    the source rows of its pid's spec in plan.json.  Adjacent specs that
+    overlap the same row-group span are checked by one task that reads
+    the span once, grouped as encode groups them (`_read_groups`, with
+    its fallback to one spec per task when that leaves CPU slots idle);
+    a block whose rows are not its spec's is a bad pid.  Comparison is
+    NaN-aware bit identity (tables_bit_identical), not Table.equals."""
     from tokcodec import manifest as mf
-    from tokcodec.blocks import decode_table
-    from tokcodec.sources.datasource import run_tasks
+    from tokcodec.blocks import decode_file
+    from tokcodec.pipelines.encode import _read_groups
+    from tokcodec.sources.datasource import cpu_slots, run_tasks
 
     _init_ray(args.num_cpus)
 
     out_dir = args.encoded
     src_override = getattr(args, "input", None)
 
-    def check(man: dict) -> list[dict]:
-        from tokcodec.pipelines.encode import _read_rows
-
-        with open(os.path.join(out_dir, man["block"]), "rb") as f:
-            dec, meta = decode_table(f.read())
-        lin = man["lineage"]
+    def source(path: str) -> str:
         # --input overrides the absolute path recorded at encode time
         # (verifying a relocated source: a file replaces it directly, a
-        # directory re-roots the recorded basename); _read_rows carries
-        # the empty-row-range guard this inline copy used to lack
-        src = lin["file"]
-        if src_override:
-            src = (
-                src_override
-                if os.path.isfile(src_override)
-                else os.path.join(src_override, os.path.basename(src))
-            )
-        ref = _read_rows(src, lin["row_start"], lin["row_end"], dec.column_names)
-        return [{
-            "pid": man["pid"],
-            "ok": tables_bit_identical(dec, ref),
-            "rows": dec.num_rows,
-        }]
+        # directory re-roots the recorded basename)
+        if not src_override:
+            return path
+        if os.path.isfile(src_override):
+            return src_override
+        return os.path.join(src_override, os.path.basename(path))
 
-    mans = mf.list_manifests(args.encoded)
+    def check(group: list[dict]) -> list[dict]:
+        from tokcodec.pipelines.encode import _read_slices
+
+        refs, _ = _read_slices([dict(s, file=source(s["file"])) for s in group], columns)
+        out = []
+        for spec, ref in zip(group, refs):
+            dec, _ = decode_file(os.path.join(out_dir, spec["block"]))
+            out.append({"pid": spec["pid"], "ok": tables_bit_identical(dec, ref),
+                        "rows": dec.num_rows})
+        return out
+
+    mans = mf.list_manifests(out_dir)
     if not mans:
-        print(json.dumps({"error": f"no manifests under {args.encoded}"}))
+        print(json.dumps({"error": f"no manifests under {out_dir}"}))
         return 1
-    results = run_tasks(mans, check)
+    plan_path = os.path.join(out_dir, "plan.json")
+    if not os.path.exists(plan_path):
+        print(json.dumps({"error": f"no plan.json under {out_dir}"}))
+        return 1
+    with open(plan_path) as f:
+        plan = json.load(f)
+    columns = plan["config"]["columns"]
+    blocks = {int(m["pid"]): m["block"] for m in mans}
+    specs = [dict(s, block=blocks[s["pid"]]) for s in plan["partitions"] if s["pid"] in blocks]
+    results = run_tasks(_read_groups(specs, cpu_slots()), check)
+    # a manifest with no spec in the plan has no source rows to match
     bad = [r["pid"] for r in results if not r["ok"]]
-    print(json.dumps({"partitions": len(results), "rows": sum(r["rows"] for r in results),
+    bad += sorted(set(blocks) - {s["pid"] for s in specs})
+    print(json.dumps({"partitions": len(mans), "rows": sum(r["rows"] for r in results),
                       "bit_identical": not bad, "bad_pids": bad}))
     return 1 if bad else 0
 

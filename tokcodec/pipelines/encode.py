@@ -6,15 +6,15 @@ Two shapes, both idiomatic Ray Data:
    pass over the `n_tok` column builds skew-balanced partitions of ~equal
    token mass (pure function of input + config → deterministic,
    resumable); small inputs are planned on the driver, larger ones by
-   two waves of Ray stats tasks.  The encode stage is one plain Ray
-   task per partition-spec group, a bounded number in flight with every
-   CPU slot busy from the first round (`run_tasks`); each task
-   reads a group's row-group span straight from storage once (columns
-   pruned), encodes each partition's slice with the codec engine, and
-   writes block + manifest atomically.  This is the
-   100 TB path: data moves storage→worker→storage exactly once, nothing
-   transits the object store, and a dead run resumes by skipping
-   complete manifests.
+   one Ray task per file running the same planner.  The encode stage is
+   one plain Ray task per partition-spec group, a bounded number in
+   flight with every CPU slot busy from the first round (`run_tasks`);
+   each task reads a group's row-group span straight from storage once
+   (columns pruned), encodes each partition's slice with the codec
+   engine, and writes block + manifest atomically.  This is the 100 TB
+   path: data moves storage→worker→storage exactly once, nothing transits
+   the object store, and a dead run resumes by skipping complete
+   manifests whose lineage is the plan's row range.
 
 2. **Streaming** (`encode_stream` / `decode_stream`): pure
    `Dataset.map_batches` stages (Arrow in, one encoded-blob row out /
@@ -28,6 +28,7 @@ here the "job conf" is the plan manifest and Ray Data owns scheduling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -69,17 +70,15 @@ DEFAULT_SNAP_FRAC = 0.4
 # to target (a single-row-group file would otherwise snap every cut to
 # the file edges) — worst-case partition mass stays < ~2.1x target, and
 # a genuinely monster row group still gets exact in-group cuts.
-# Expressed as integer ratios so the serial and distributed planners
-# compute bit-identical tolerances.
+# Expressed as integer ratios so the tolerance is exact.
 _RG_SNAP_NUM, _RG_SNAP_DEN = 3, 5
 _RG_CAP_NUM, _RG_CAP_DEN = 11, 20
 
 
 def _snap_tolerance(snap_frac: float, target_tokens: int, total: int, n_rgs: int) -> int:
     """Snap tolerance for one file: max(snap_frac * target, min(0.6 *
-    mean row-group mass, 0.55 * target)), in exact integer arithmetic
-    (identical in the serial and distributed planners).  snap_frac == 0
-    disables snapping."""
+    mean row-group mass, 0.55 * target)), in exact integer arithmetic.
+    snap_frac == 0 disables snapping."""
     tol = int(snap_frac * target_tokens)
     if tol > 0 and n_rgs > 0:
         floor = min(
@@ -114,38 +113,23 @@ def _spec(path: str, row_start: int, row_end: int, n_tok: int, offs: np.ndarray)
     }
 
 
-def _ntok_chunk(
-    path: str, rg_lo: int, rg_hi: int, token_col: str, pf=None
-) -> np.ndarray:
-    """Token-mass array for row groups [rg_lo, rg_hi) of one file — the
-    unit of the parallel 'stats pass' (reads ONE small column).  Null
-    token counts contribute ZERO mass (the row still encodes; it just
-    doesn't steer balancing) — without the fill, Arrow's null→NaN→int64
-    cast lands on int64-min and one bad row poisons the cumulative-mass
-    cuts for its whole file.  ``pf``: pass an already-open ParquetFile
-    to reuse its parsed footer (footer deserialization dominates
-    per-task metadata cost on files with thousands of row groups)."""
-    f = pf if pf is not None else pq.ParquetFile(path)
-    t = f.read_row_groups(list(range(rg_lo, rg_hi)), columns=[token_col], use_threads=False)
+def _token_mass(pf: pq.ParquetFile, token_col: str) -> np.ndarray:
+    """Token mass per row of one open ParquetFile (reads ONE small
+    column).  Null token counts contribute ZERO mass (the row still
+    encodes; it just doesn't steer balancing) — without the fill,
+    Arrow's null→NaN→int64 cast lands on int64-min and one bad row
+    poisons the cumulative-mass cuts for its whole file."""
+    t = pf.read(columns=[token_col], use_threads=False)
     if t.column(0).null_count:
         t = t.set_column(0, t.schema.field(0), pa.compute.fill_null(t.column(0), 0))
     return np.abs(t.column(0).to_numpy(zero_copy_only=False).astype(np.int64))
 
 
-def _chunk_total(path: str, rg_lo: int, rg_hi: int, token_col: str) -> int:
-    """Stats wave 1: ONE scalar per chunk back to the driver (never the
-    raw mass array — at 10^12 rows that array is driver-killing)."""
-    return int(_ntok_chunk(path, rg_lo, rg_hi, token_col).sum())
-
-
-def _snap_row(
-    bl: int, cum: np.ndarray, base_mass: int, rg_bounds: np.ndarray, v: int, snap_tol: int
-) -> int:
-    """Snap an exact cut row `bl` (local) to the nearest row-group
-    boundary whose cumulative-mass deviation from the ideal cut value `v`
-    is within `snap_tol`; else keep the exact row.  Deterministic: on a
-    deviation tie the earlier boundary wins.  Used identically by the
-    serial and distributed planners so their plans stay bit-identical."""
+def _snap_row(bl: int, cum: np.ndarray, rg_bounds: np.ndarray, v: int, snap_tol: int) -> int:
+    """Snap an exact cut row `bl` to the nearest row-group boundary whose
+    cumulative-mass deviation from the ideal cut value `v` is within
+    `snap_tol`; else keep the exact row.  Deterministic: on a deviation
+    tie the earlier boundary wins."""
     if snap_tol <= 0 or len(rg_bounds) == 0:
         return bl
     j = int(np.searchsorted(rg_bounds, bl))
@@ -154,59 +138,13 @@ def _snap_row(
         ([int(rg_bounds[j - 1])] if j > 0 else [])
         + ([int(rg_bounds[j])] if j < len(rg_bounds) else [])
     ):
-        mass_at = base_mass + (int(cum[c - 1]) if c > 0 else 0)
+        mass_at = int(cum[c - 1]) if c > 0 else 0
         dev = abs(mass_at - int(v))
         if dev > snap_tol:
             continue
         if best_dev is None or dev < best_dev or (dev == best_dev and c < best_row):
             best_row, best_dev = c, dev
     return best_row
-
-
-def _chunk_cut_rows(
-    path: str,
-    rg_lo: int,
-    rg_hi: int,
-    token_col: str,
-    row_offset: int,
-    base_mass: int,
-    cut_vals: list[int],
-    snap_tol: int = 0,
-) -> list[tuple[int, int]]:
-    """Stats wave 2: for each global integer cut value v assigned to this
-    chunk, return (global boundary row b, global cum-mass at b-1).
-    Exactly replicates ``searchsorted(global_cum, v)`` because
-    global_cum[i] = base_mass + local_cum[i - row_offset] within the
-    chunk, and all arithmetic is integer-exact.  With snap_tol > 0 the
-    exact row snaps to an adjacent row-group boundary within tolerance —
-    the same prev/next candidates the serial planner sees, because chunk
-    edges are themselves row-group boundaries.
-
-    Known bit-identity exception (degenerate): when the exact cut lands
-    on this chunk's FIRST row and a run of zero-mass rows makes the
-    previous chunk's trailing row-group boundary tie on deviation, the
-    serial planner's 'earlier boundary wins' tie-break picks that
-    earlier row, which this chunk-local task cannot see.  Both plans
-    remain valid, deterministic and equal-mass; they differ only in
-    which of two mass-identical boundary rows hosts the cut.  Fixing it
-    would need cross-chunk boundary-mass exchange for a case that
-    requires n_tok == 0 rows exactly at a tied row-group edge."""
-    pf = pq.ParquetFile(path)  # one footer parse per task, shared below
-    mass = _ntok_chunk(path, rg_lo, rg_hi, token_col, pf=pf)
-    cum = np.cumsum(mass)
-    rg_bounds = np.empty(0, dtype=np.int64)
-    if snap_tol > 0:
-        md = pf.metadata
-        rg_rows = [md.row_group(i).num_rows for i in range(rg_lo, rg_hi)]
-        rg_bounds = np.concatenate(([0], np.cumsum(rg_rows, dtype=np.int64)))
-    out = []
-    for v in cut_vals:
-        bl = int(np.searchsorted(cum, int(v) - base_mass))
-        bl = min(bl, len(cum))
-        bl = _snap_row(bl, cum, base_mass, rg_bounds, int(v), snap_tol)
-        cum_bm1 = base_mass + (int(cum[bl - 1]) if bl > 0 else 0)
-        out.append((row_offset + bl, cum_bm1))
-    return out
 
 
 def _file_token_plan(
@@ -228,7 +166,7 @@ def _file_token_plan(
     if n_rows == 0:
         return []
     if token_col is not None and token_col in f.schema_arrow.names:
-        mass = _ntok_chunk(path, 0, f.metadata.num_row_groups, token_col, pf=f)
+        mass = _token_mass(f, token_col)
     else:
         mass = np.ones(n_rows, dtype=np.int64)
         target_tokens = max(1, min(target_tokens, 1_000_000))
@@ -247,7 +185,7 @@ def _file_token_plan(
     for k in range(1, n_parts):
         cut = -((-k * total) // n_parts)
         b = int(np.searchsorted(cum, cut))
-        b = _snap_row(b, cum, 0, rg_bounds, cut, snap_tol)
+        b = _snap_row(b, cum, rg_bounds, cut, snap_tol)
         if b > bounds[-1]:
             bounds.append(b)
     if bounds[-1] != n_rows:
@@ -259,14 +197,11 @@ def _file_token_plan(
     ]
 
 
-_PLAN_CHUNK_RGS = 64  # row groups per stats task
-
 # Inputs of at most this many rows (summed over their footers) are
-# planned on the driver, with no Ray task: the driver then reads no more
-# token counts than one stats task of 64 row groups of 8192 rows would,
-# and holds about 8 MiB (the int64 mass and its cumulative sum).  On
-# such inputs the two rounds of stats tasks cost more than the read.
-_DRIVER_PLAN_ROWS = _PLAN_CHUNK_RGS * 8192
+# planned on the driver, which then holds about 8 MiB (the int64 mass
+# and its cumulative sum); larger ones are planned by one Ray task per
+# file.  On such inputs a task costs more than the read.
+_DRIVER_PLAN_ROWS = 512 * 1024
 
 
 def _plan_on_driver(files: list[str]) -> bool:
@@ -278,110 +213,6 @@ def _plan_on_driver(files: list[str]) -> bool:
         if rows > _DRIVER_PLAN_ROWS:
             return False
     return True
-
-
-def _plan_distributed(
-    files: list[str],
-    target_tokens: int,
-    token_col: str | None,
-    snap_frac: float = DEFAULT_SNAP_FRAC,
-) -> list[list[dict]]:
-    """Two-wave distributed stats pass with O(chunks + partitions) driver
-    memory (never the raw n_tok arrays — the round-1 design shipped every
-    file's mass array to the driver, terabytes at 10^12 rows):
-
-    wave 1: each chunk task returns ONE int (its token mass).  The driver
-    derives per-file totals, partition counts and the equal-mass cut
-    values, and assigns each cut to the first chunk whose cumulative mass
-    reaches it.
-    wave 2: each chunk with assigned cuts re-reads its (tiny) token
-    column and returns the exact boundary row + cum-mass per cut.
-
-    Produces partitions bit-identical to the serial `_file_token_plan`
-    (same searchsorted semantics); the token column is read twice —
-    ~0.2% of the data, the price of O(1) driver memory.
-    """
-    import ray
-
-    total_task = ray.remote(num_cpus=0.5)(_chunk_total)
-    cuts_task = ray.remote(num_cpus=0.5)(_chunk_cut_rows)
-
-    # chunk layout per file: (rg_lo, rg_hi, row_offset)
-    chunks: dict[int, list[tuple[int, int, int]]] = {}
-    offs_of: dict[int, np.ndarray] = {}  # row-group offsets, for the spans
-    wave1: list[tuple[int, int, object]] = []  # (fi, chunk_idx, ref)
-    for fi, p in enumerate(files):
-        f = pq.ParquetFile(p)
-        md = f.metadata
-        if token_col is None or token_col not in f.schema_arrow.names:
-            continue
-        offs_of[fi] = offs = _rg_offsets(md)
-        cl = [
-            (lo, min(md.num_row_groups, lo + _PLAN_CHUNK_RGS), int(offs[lo]))
-            for lo in range(0, md.num_row_groups, _PLAN_CHUNK_RGS)
-        ]
-        chunks[fi] = cl
-        for ci, (lo, hi, _) in enumerate(cl):
-            wave1.append((fi, ci, total_task.remote(p, lo, hi, token_col)))
-    totals: dict[tuple[int, int], int] = {}
-    for (fi, ci, _), tot in zip(wave1, ray.get([w[2] for w in wave1])):
-        totals[(fi, ci)] = tot
-
-    # assign cuts to chunks, launch wave 2
-    wave2: list[tuple[int, object]] = []  # (fi, ref)
-    file_cfg: dict[int, dict] = {}
-    for fi, p in enumerate(files):
-        if fi not in chunks or offs_of[fi][-1] == 0:
-            continue
-        cl = chunks[fi]
-        chunk_tot = [totals[(fi, ci)] for ci in range(len(cl))]
-        ends = np.cumsum(chunk_tot)
-        total = int(ends[-1]) if len(ends) else 0
-        n_parts = max(1, round(total / target_tokens))
-        cut_vals = [-((-k * total) // n_parts) for k in range(1, n_parts)]
-        file_cfg[fi] = {"total": total}
-        per_chunk: dict[int, list[int]] = {}
-        for v in cut_vals:
-            ci = int(np.searchsorted(ends, v))  # first chunk with end >= v
-            ci = min(ci, len(cl) - 1)
-            per_chunk.setdefault(ci, []).append(v)
-        snap_tol = _snap_tolerance(snap_frac, target_tokens, total, cl[-1][1])
-        for ci, vals in sorted(per_chunk.items()):
-            lo, hi, row_off = cl[ci]
-            base = int(ends[ci - 1]) if ci > 0 else 0
-            wave2.append(
-                (fi, cuts_task.remote(p, lo, hi, token_col, row_off, base, vals, snap_tol))
-            )
-
-    bounds_of: dict[int, list[tuple[int, int]]] = {fi: [] for fi in file_cfg}
-    for (fi, _), res in zip(wave2, ray.get([w[1] for w in wave2])):
-        bounds_of[fi].extend(res)
-
-    per_file: list[list[dict]] = []
-    for fi, p in enumerate(files):
-        if fi not in file_cfg:
-            # no token column (or empty): serial fallback reads no data
-            per_file.append(_file_token_plan(p, target_tokens, token_col, snap_frac=snap_frac))
-            continue
-        offs = offs_of[fi]
-        n_rows = int(offs[-1])
-        total = file_cfg[fi]["total"]
-        bounds = [0]
-        cums = [0]  # global cum-mass at bound-1 (0 for bound 0)
-        for b, cum_bm1 in sorted(bounds_of[fi]):
-            if b > bounds[-1]:
-                bounds.append(int(b))
-                cums.append(int(cum_bm1))
-        if bounds[-1] != n_rows:
-            bounds.append(n_rows)
-            cums.append(total)
-        else:
-            cums[-1] = total
-        per_file.append([
-            _spec(p, bounds[j], bounds[j + 1], cums[j + 1] - cums[j], offs)
-            for j in range(len(bounds) - 1)
-        ])
-    return per_file
 
 
 def plan_partitions(
@@ -397,10 +228,12 @@ def plan_partitions(
 
     Returns {"fingerprint", "config", "partitions": [spec, ...]} where each
     spec is {pid, file, row_start, row_end, n_tok, rg_first, rg_last}; the
-    fingerprint covers the config only.  With a Ray session active and
-    `parallel`, inputs over `_DRIVER_PLAN_ROWS` rows are planned by Ray
-    stats tasks (`_plan_distributed`), smaller ones on the driver; both
-    give the same plan, and the choice is not part of the config.
+    fingerprint covers the config only.  Each file is planned by
+    `_file_token_plan`: on the driver for inputs of at most
+    `_DRIVER_PLAN_ROWS` rows (or without a Ray session, or with
+    `parallel` off), else in one Ray task per file through `run_tasks`.
+    Either way the same function cuts the plan, so it does not depend
+    on where it ran.
     """
     if isinstance(input_paths, str):
         if os.path.isdir(input_paths):
@@ -415,34 +248,31 @@ def plan_partitions(
         files = sorted(input_paths)
     if not files:
         raise ValueError(f"no parquet files under {input_paths!r}")
+    files = [os.path.abspath(p) for p in files]
 
     import ray
 
+    plan_file = functools.partial(
+        _file_token_plan, target_tokens=target_tokens, token_col=token_col,
+        snap_frac=snap_frac,
+    )
     if parallel and ray.is_initialized() and not _plan_on_driver(files):
-        per_file = _plan_distributed(files, target_tokens, token_col, snap_frac)
-    else:
-        per_file = [
-            _file_token_plan(p, target_tokens, token_col, snap_frac=snap_frac)
-            for p in files
-        ]
+        from tokcodec.sources.datasource import run_tasks
 
-    partitions = []
-    for specs in per_file:
-        for s in specs:
-            s["pid"] = len(partitions)
-            partitions.append(s)
+        partitions = run_tasks(files, plan_file)
+    else:
+        partitions = [s for p in files for s in plan_file(p)]
+    for pid, s in enumerate(partitions):
+        s["pid"] = pid
     config = {
         "target_tokens": target_tokens,
         "token_col": token_col,
         "columns": columns,
         "snap_frac": snap_frac,
-        "files": [os.path.abspath(p) for p in files],
+        "files": files,
         # content stamp: a regenerated input file (same path, new bytes)
         # must invalidate prior manifests, not silently resume over them
-        "file_stats": [
-            [os.path.abspath(p), os.path.getsize(p), os.stat(p).st_mtime_ns]
-            for p in files
-        ],
+        "file_stats": [[p, os.path.getsize(p), os.stat(p).st_mtime_ns] for p in files],
         "format": MAGIC.rstrip(b"\0").decode(),
     }
     if bloom_cols:
@@ -503,6 +333,15 @@ _METRIC_KEYS = (
 )
 
 
+def _lineage(spec: dict) -> dict:
+    """The source rows of a partition, as its manifest records them."""
+    return {
+        "file": spec["file"],
+        "row_start": int(spec["row_start"]),
+        "row_end": int(spec["row_end"]),
+    }
+
+
 class EncodeWorker:
     """The encode task body: `encode_group` encodes one group of partition
     specs end-to-end — adjacent partitions that overlap the same
@@ -531,15 +370,19 @@ class EncodeWorker:
         self.schema = schema
 
     def encode_group(self, specs: list[dict]) -> list[dict]:
-        """Skip the partitions with a complete manifest, read the union
-        row range of the rest once, then encode and write each one from
-        its slice.  Returns one metrics dict per spec, in spec order."""
+        """Skip the partitions with a complete manifest of the spec's row
+        range, read the union row range of the rest once, then encode and
+        write each one from its slice.  Returns one metrics dict per
+        spec, in spec order."""
         done: dict[int, dict] = {}
         todo = []
         for spec in specs:
             pid = int(spec["pid"])
             man = mf.load_if_complete(self.out_dir, pid, self.fp)
-            if man is None:
+            # the fingerprint covers the config, not the planner code: a
+            # manifest cut by another plan under the same fingerprint
+            # holds other rows, so it is re-encoded, never resumed
+            if man is None or man.get("lineage") != _lineage(spec):
                 todo.append(spec)
                 continue
             # .get at BOTH levels: a complete manifest from an older
@@ -562,11 +405,7 @@ class EncodeWorker:
         if self.schema is not None:
             self.schema.validate_table(table)
         t0 = time.monotonic()
-        lineage = {
-            "file": spec["file"],
-            "row_start": int(spec["row_start"]),
-            "row_end": int(spec["row_end"]),
-        }
+        lineage = _lineage(spec)
         blob = encode_table(
             table, meta={"pid": pid, "lineage": lineage}, zstd=self.zstd,
             bloom_cols=self.bloom_cols,
