@@ -1,7 +1,9 @@
 """Codec selection skips trials that cannot win, and the skips are exact:
 the one-pass FSST table build matches the sequential builder it replaced,
 ``_best_int`` still picks the minimum over every candidate, and an
-all-distinct small string column builds its FSST table once."""
+all-distinct small string column builds its FSST table once.  A large int
+column whose sample has seen its domain keeps a dict trial, which never
+grows a column against the pre-change selection kept here as the oracle."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokcodec.blocks import codec_summary, decode_table, encode_table, header_stats, read_header
 from tokcodec.codecs import encode_bytes_auto, fsst
 from tokcodec.codecs import intcodecs as ic
 from tokcodec.codecs.bytescodecs import _enc_dict_bytes, _enc_plain_bytes
@@ -201,3 +204,218 @@ def test_all_distinct_small_column_builds_fsst_table_once(col, monkeypatch):
     cands = [_enc_plain_bytes(arr), _enc_dict_bytes(arr), fsst.try_fsst(arr)]
     assert _enc_bytes(enc) == _enc_bytes(min(cands, key=ic._est_z))
 
+
+# ------------------------------------------ saturated-sample dict trial ----
+
+
+def _oracle_best_int(arr, allow_rle=True, allow_dict=True, allow_vtop=True):
+    """``_best_int`` before the saturated-sample dict trial, kept as the
+    oracle: its sampled path drops dict whenever the sample holds more than
+    ``SAMPLE // 4`` distinct values."""
+    cands = ic._candidates(allow_rle, allow_dict, allow_vtop)
+    if len(arr) > 4 * ic.SAMPLE:
+        sample = arr[:ic.SAMPLE]
+        if allow_dict and len(np.unique(sample)) > ic.SAMPLE // 4:
+            cands = [fn for fn in cands if fn is not ic._enc_dict]
+        cands = [fn for fn in cands if fn is not ic._enc_vtop]
+        scored = []
+        for ci, enc_fn in enumerate(ic._undominated(cands, sample)):
+            e = enc_fn(sample)
+            if e is not None:
+                scored.append((ic._est_z(e), ci, enc_fn))
+        scored.sort(key=lambda t: (t[0], t[1]))
+        best_fn = scored[0][2]
+        if allow_vtop and best_fn in (ic._enc_bitpack, ic._enc_bps, ic._enc_for):
+            vt = ic._enc_vtop(arr)
+            if vt is not None and ic._est_z(vt) < scored[0][0] * (len(arr) / len(sample)):
+                return vt
+        best = best_fn(arr)
+        if best is not None:
+            if best_fn not in (ic._enc_plain, ic._enc_bitpack, ic._enc_for, ic._enc_bps):
+                for alt_fn in (ic._enc_for, ic._enc_bps):
+                    alt = alt_fn(arr)
+                    if alt is not None and ic._est_z(alt) <= ic._est_z(best):
+                        best = alt
+            return best
+    encs = [e for e in (fn(arr) for fn in ic._undominated(cands, arr)) if e is not None]
+    return min(encs, key=ic._est_z)
+
+
+_DAY_US = 86_400_000_000
+_SHIP_DAY0 = 8035  # 1992-01-01 in days since the epoch
+
+
+def _shipdate_like(rng, n):
+    """Day-granular timestamp[us] values over TPC-H's 2,526 ship days, in
+    random order: the sample sees ~2,430 values with a missing mass ~0.04."""
+    return (_SHIP_DAY0 + rng.integers(0, 2526, n)) * _DAY_US
+
+
+def _orderkey_like(rng, n):
+    """TPC-H's sparse order keys (8 of every 32), 1-7 lines each, rows in
+    random order: nearly every sample value is seen once."""
+    k = np.arange(1, n // 2)
+    keys = np.repeat((k // 8) * 32 + k % 8, rng.integers(1, 8, len(k)))
+    return rng.permutation(keys)[:n].astype(np.int64)
+
+
+def _zipf_tokens(rng, n):
+    """Zipf(1.2) ids over a 50k vocabulary: the sample holds ~2,300
+    distinct values, a quarter of its rows singletons."""
+    z = rng.zipf(1.2, n)
+    return np.where(z < 50_000, z, rng.integers(0, 50_000, n)).astype(np.int64)
+
+
+def _decodes(enc, arr):
+    back = ic.decode_int(enc)
+    return back.dtype == arr.dtype and np.array_equal(back.view(np.uint8), arr.view(np.uint8))
+
+
+@st.composite
+def _large_int_columns(draw):
+    """int64 columns of 32,769-200,000 rows: domains of 2,049 to 6,000
+    values (optionally day-granular timestamps, optionally in short runs),
+    which saturate the sample up to ~3,500 values, or unsaturated ids,
+    keys and zipf tokens."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4 * ic.SAMPLE + 1, 200_000))
+    kind = draw(st.sampled_from(["domain", "domain", "ids", "keys", "zipf"]))
+    if kind == "ids":
+        return rng.permutation(n).astype(np.int64) + draw(st.integers(-10**6, 10**12))
+    if kind == "keys":
+        return _orderkey_like(rng, n)
+    if kind == "zipf":
+        return _zipf_tokens(rng, n)
+    size = draw(st.one_of(st.integers(2049, 3500), st.integers(2049, 6000)))
+    if draw(st.booleans()):
+        domain = (_SHIP_DAY0 + rng.choice(8000, size, replace=False)) * _DAY_US
+    else:
+        domain = rng.choice(1 << 40, size, replace=False).astype(np.int64) - (1 << 39)
+    weights = rng.random(size) ** draw(st.sampled_from([0, 0.5, 1]))
+    arr = rng.choice(domain, n, p=weights / weights.sum())
+    if draw(st.booleans()):
+        arr = np.repeat(arr, rng.integers(1, 4, n))[:n]
+    return arr
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=_large_int_columns())
+def test_saturated_dict_trial_never_grows_and_decodes(arr):
+    """The pick is today's pick, or, when the sample has saturated, a dict
+    whose full-array estimate is strictly under it; either way the decode
+    is bit-identical."""
+    got, old = ic._best_int(arr), _oracle_best_int(arr)
+    assert ic._est_z(got) <= ic._est_z(old)
+    if _enc_bytes(got) != _enc_bytes(old):
+        assert got["c"] == "dict" and ic._est_z(got) < ic._est_z(old)
+        counts = np.unique(arr[:ic.SAMPLE], return_counts=True)[1]
+        assert len(counts) > ic.SAMPLE // 4 and 10 * (counts == 1).sum() <= ic.SAMPLE
+    assert _decodes(got, arr)
+
+
+def _block_bytes(arr, best_int, monkeypatch):
+    monkeypatch.setattr(ic, "_best_int", best_int)
+    t = pa.table({"d": pa.array(arr, pa.timestamp("us"))})
+    return len(encode_table(t))
+
+
+def test_shipdate_like_column_picks_dict_and_shrinks(monkeypatch):
+    arr = _shipdate_like(np.random.default_rng(11), 200_000)
+    enc = ic._best_int(arr)
+    assert enc["c"] == "dict" and _oracle_best_int(arr)["c"] != "dict"
+    assert _decodes(enc, arr)
+    real = ic._best_int
+    old = _block_bytes(arr, _oracle_best_int, monkeypatch)
+    new = _block_bytes(arr, real, monkeypatch)
+    assert new <= 0.6 * old
+
+
+@pytest.mark.parametrize("make, codec", [(_orderkey_like, None), (_zipf_tokens, "vtop")])
+def test_unsaturated_columns_encode_byte_identical(make, codec):
+    arr = make(np.random.default_rng(11), 200_000)
+    sample = arr[:ic.SAMPLE]
+    counts = np.unique(sample, return_counts=True)[1]
+    # past the distinct-value gate, with a missing mass well over its bound
+    assert len(counts) > ic.SAMPLE // 4 and (counts == 1).sum() / len(sample) > 0.2
+    old = _oracle_best_int(arr)
+    assert codec is None or old["c"] == codec
+    assert _enc_bytes(ic._best_int(arr)) == _enc_bytes(old)
+
+
+def test_saturated_prefix_dict_kept_only_if_it_wins_on_the_full_array():
+    """The sample is day-granular and saturated, the rest of the column is
+    wide random values: dict wins on the sample but loses on the column,
+    so today's pick stands."""
+    rng = np.random.default_rng(11)
+    arr = np.concatenate([_shipdate_like(rng, 10_000), rng.integers(0, 1 << 40, 190_000)])
+    sample = arr[:ic.SAMPLE]
+    assert ic._est_z(ic._enc_dict(sample)) < min(
+        ic._est_z(fn(sample)) for fn in (ic._enc_plain, ic._enc_for, ic._enc_bps, ic._enc_delta))
+    assert _enc_bytes(ic._best_int(arr)) == _enc_bytes(_oracle_best_int(arr))
+
+
+def _with_nulls(typ, vals, rng):
+    """``vals`` as an Arrow array with ~10% nulls whose slots keep their raw
+    values in the data buffer."""
+    valid = rng.random(len(vals)) > 0.1
+    bitmap = np.packbits(valid, bitorder="little")
+    return pa.Array.from_buffers(typ, len(vals), [pa.py_buffer(bitmap), pa.py_buffer(vals)],
+                                 null_count=int((~valid).sum()))
+
+
+# type, values, the codec the column's data takes (date32 days span 12
+# bits, so two byte planes beat dict there)
+_SATURATED_TYPES = {
+    "timestamp_us": (pa.timestamp("us"), lambda rng, n: _shipdate_like(rng, n), "dict"),
+    "date32": (pa.date32(), lambda rng, n: (_SHIP_DAY0 + rng.integers(0, 2526, n)).astype(np.int32),
+               "bps"),
+    "int64": (pa.int64(), lambda rng, n: rng.choice(
+        rng.choice(1 << 40, 2600, replace=False).astype(np.int64), n), "dict"),
+}
+
+
+@pytest.mark.parametrize("nulls", [False, True])
+@pytest.mark.parametrize("kind", list(_SATURATED_TYPES))
+def test_large_saturated_column_roundtrip(kind, nulls):
+    """Columns over 4 * SAMPLE rows whose sample saturates: decode is
+    bit-identical, raw values under null slots included, and the zone map
+    holds the column's min, max and null count."""
+    typ, make, codec = _SATURATED_TYPES[kind]
+    rng = np.random.default_rng(3)
+    vals = make(rng, 4 * ic.SAMPLE + 7_000)
+    arr = _with_nulls(typ, vals, rng) if nulls else pa.array(vals, typ)
+    t = pa.table({"c": arr})
+    blob = encode_table(t)
+    header = read_header(blob)
+    assert codec_summary(header)["c"].split("(")[0] == codec
+    back, _ = decode_table(blob)
+    out = back.column("c").combine_chunks()
+    assert out.type == typ and out.null_count == arr.null_count
+    assert out.equals(arr)
+    assert pc.is_valid(out).equals(pc.is_valid(arr))
+    raw = np.frombuffer(out.buffers()[1], dtype=vals.dtype)[out.offset:out.offset + len(out)]
+    assert np.array_equal(raw, vals)
+    stats = header_stats(header)["c"]
+    mm = pc.min_max(arr)
+    assert (stats["min"], stats["max"]) == (mm["min"].as_py(), mm["max"].as_py())
+    assert (stats["nulls"], stats["n"]) == (arr.null_count, len(arr))
+
+
+def test_sampled_bp_winner_with_negative_tail_falls_through(monkeypatch):
+    """``bp`` wins on a non-negative sample and cannot encode the column's
+    negative tail, so every candidate runs on the full array."""
+    rng = np.random.default_rng(3)
+    arr = np.concatenate([rng.integers(0, 256, 5 * ic.SAMPLE), -rng.integers(1, 256, 100)])
+    full = []
+    real = ic._min_full
+
+    def spy(cands, a):
+        full.append(len(a))
+        return real(cands, a)
+
+    monkeypatch.setattr(ic, "_min_full", spy)
+    enc = ic._best_int(arr)
+    assert ic._enc_bitpack(arr[:ic.SAMPLE]) is not None and ic._enc_bitpack(arr) is None
+    assert len(arr) in full
+    assert enc["c"] != "bp" and _decodes(enc, arr)
+    assert _enc_bytes(enc) == _enc_bytes(_oracle_best_int(arr))

@@ -233,7 +233,11 @@ def decode_array(enc: dict, t: pa.DataType) -> pa.Array:
             base = pa.array(vals.astype(_np_dtype(t), copy=False), type=t)
         out = base.cast(t)
         if mask is not None:
-            out = pc.if_else(pa.array(mask), pa.nulls(len(out), t), out)
+            # the encoded data holds the raw values under null slots too
+            # (see encode_array), so they come back as they went in
+            out = pa.Array.from_buffers(
+                t, len(out), [pa.py_buffer(k["valid"]["p"][0]), out.buffers()[1]],
+                null_count=int(mask.sum()))
         return out
     if kind == "float":
         vals = decode_float(k["data"])

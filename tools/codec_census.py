@@ -1,7 +1,9 @@
 """Codec census: encode a fixed corpus block by block and record, per input,
-its encoded bytes, a digest of its blocks, encode and decode seconds, and
-how often each codec wins at any depth of the column codec trees.  Every
-decode is checked bit-identical (NaN-aware) against its source.
+its encoded bytes, each top-level column's bytes (summed over the input's
+blocks, see ``_column_bytes``), a digest of its blocks, encode and decode
+seconds, and how often each codec wins at any depth of the column codec
+trees.  Every decode is checked bit-identical (NaN-aware) against its
+source.
 
 The corpus:
 - ``bench.tokens``: the benchmark's token fixture (seed 101) cut by the
@@ -16,9 +18,10 @@ Usage, from the root of a checkout (tokcodec is imported from there):
     python tools/codec_census.py run OUT.json [sf_dir ...]
     python tools/codec_census.py compare BEFORE.json AFTER.json
 
-``compare`` prints markdown tables and exits 1 when an input grew or a
-decode was not bit-identical.  Block digests skip the format magic, so a
-version bump alone keeps them equal.
+``compare`` prints markdown tables, including every column whose bytes
+changed, and exits 1 when an input or a column grew or a decode was not
+bit-identical.  Block digests skip the format magic, so a version bump
+alone keeps them equal.
 """
 
 from __future__ import annotations
@@ -53,10 +56,36 @@ def _codecs(node: dict, out: collections.Counter) -> None:
         _codecs(ch, out)
 
 
+def _segments(node: dict) -> list[int]:
+    return node["ps"] + [i for ch in node["k"].values() for i in _segments(ch)]
+
+
+def _rebased(node: dict, first: int) -> dict:
+    return dict(node, ps=[i - first for i in node["ps"]],
+                k={name: _rebased(ch, first) for name, ch in node["k"].items()})
+
+
+def _column_bytes(header: dict) -> dict[str, int]:
+    """Per top-level column of one block: its payload segments plus its
+    JSON header entry, as perfbench's ``column_payloads`` counts them, but
+    with the entry's segment indices counted from the column's own first
+    segment, so that a column's bytes do not move when a column before it
+    gains or loses a segment."""
+    seg_len = [s["l"] for s in header["segments"]]
+    out = {}
+    for c in header["columns"]:
+        ps = _segments(c["enc"])
+        entry = dict(c, enc=_rebased(c["enc"], min(ps, default=0)))
+        out[c["name"]] = (sum(seg_len[i] for i in ps)
+                          + len(json.dumps(entry, separators=(",", ":")).encode()))
+    return out
+
+
 def _census(tables, wins: collections.Counter) -> dict:
     digest = hashlib.sha256()
     nbytes = enc_s = dec_s = 0.0
     identical = True
+    columns = collections.Counter()
     for t in tables:
         t0 = time.perf_counter()
         blob = blocks.encode_table(t)
@@ -67,10 +96,13 @@ def _census(tables, wins: collections.Counter) -> dict:
         identical &= tables_bit_identical(back, t)
         nbytes += len(blob)
         digest.update(blob[len(blocks.MAGIC):])
-        for c in blocks.read_header(blob)["columns"]:
+        header = blocks.read_header(blob)
+        for c in header["columns"]:
             _codecs(c["enc"], wins)
+        columns.update(_column_bytes(header))
     return {"bytes": int(nbytes), "blocks": len(tables), "digest": digest.hexdigest()[:16],
-            "encode_s": round(enc_s, 4), "decode_s": round(dec_s, 4), "identical": identical}
+            "encode_s": round(enc_s, 4), "decode_s": round(dec_s, 4), "identical": identical,
+            "columns": dict(columns)}
 
 
 def _planned(plan: dict):
@@ -111,6 +143,15 @@ def compare(before_path: str, after_path: str) -> int:
         bad += d > 0 or not y["identical"]
         print(f"| {name} | {x['bytes']} | {y['bytes']} | {d:+d} | "
               f"{'yes' if x['digest'] == y['digest'] else 'no'} | {'yes' if y['identical'] else 'NO'} |")
+    print("\n| column | before B | after B | delta B | delta % |")
+    print("|---|---|---|---|---|")
+    for name, x in a["inputs"].items():
+        cols_b = b["inputs"][name].get("columns", {})
+        for col, xb in x.get("columns", {}).items():
+            d = cols_b.get(col, 0) - xb
+            bad += d > 0
+            if d:
+                print(f"| {name}.{col} | {xb} | {cols_b.get(col, 0)} | {d:+d} | {100 * d / xb:+.1f}% |")
     for key in ("bytes", "encode_s", "decode_s"):
         print(f"total {key}: {sum(v[key] for v in a['inputs'].values()):.4f} -> "
               f"{sum(v[key] for v in b['inputs'].values()):.4f}")
