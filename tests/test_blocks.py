@@ -138,9 +138,68 @@ def test_codec_summary_renders_every_column_kind():
         "n": pa.nulls(3),
     })
     assert codec_summary(read_header(encode_table(t))) == {
-        "s": "struct(for,dbytes(codes=bp,uvals=fsst(slen=for)))",
+        "s": "struct(for,dbytes(codes=bp,uvals=pbytes(len=for)))",
         "l": "list(len=bp,values=fplain)",
         "d": "dictenc(idx=bp,dict=pbytes(len=for))",
         "f": "fsl(values=delta(z=for))",
         "n": "null",
     }
+
+
+def _strip_validity(a: pa.Array) -> pa.Array:
+    """``a`` with every slot valid: the values stored under its nulls show."""
+    children = [a.values] if pa.types.is_list(a.type) else None
+    return pa.Array.from_buffers(a.type, len(a), [None] + a.buffers()[1:a.type.num_buffers],
+                                 children=children)
+
+
+def _nulls_over(typ, good: pa.Array, rng) -> pa.Array:
+    """``good``'s buffers under a validity bitmap with ~20% nulls (the
+    first slot among them), so the null slots keep real values."""
+    valid = rng.random(len(good)) > 0.2
+    valid[0] = False
+    bitmap = pa.py_buffer(np.packbits(valid, bitorder="little"))
+    children = [good.values] if pa.types.is_list(typ) else None
+    return pa.Array.from_buffers(typ, len(good), [bitmap] + good.buffers()[1:typ.num_buffers],
+                                 null_count=int((~valid).sum()), children=children)
+
+
+def _null_slot_column(kind: str, rng) -> tuple[pa.Array, pa.Array]:
+    """A column with nulls over non-empty values, and what encode stores
+    for it: raw float values and list slots as they are, bool and bytes
+    null slots filled with false and the empty string."""
+    n = 600
+    if kind in ("float32", "float64"):
+        vals = rng.standard_normal(n).astype(kind)
+        vals[::7] = np.nan
+        arr = _nulls_over(pa.from_numpy_dtype(vals.dtype), pa.array(vals), rng)
+        return arr, arr
+    if kind == "bool":
+        arr = _nulls_over(pa.bool_(), pa.array(rng.random(n) < 0.7), rng)
+        return arr, pa.compute.fill_null(arr, False)
+    if kind in ("string", "binary"):
+        typ = pa.string() if kind == "string" else pa.binary()
+        arr = _nulls_over(typ, pa.array([f"v{i % 37}" for i in range(n)], typ), rng)
+        return arr, pa.compute.fill_null(arr, "" if kind == "string" else b"")
+    typ = pa.list_(pa.int32())
+    arr = _nulls_over(typ, pa.array([list(range(i % 5)) for i in range(n)], typ), rng)
+    return arr, arr
+
+
+@pytest.mark.parametrize("kind", ["float32", "float64", "bool", "string", "binary", "list"])
+def test_null_slots_decode_what_encode_stored(kind):
+    """Every kind with a validity bitmap decodes to its stored validity over
+    the data encode stored, values under null slots included."""
+    arr, stored = _null_slot_column(kind, np.random.default_rng(4))
+    back, _ = decode_table(encode_table(pa.table({"c": arr})))
+    out = back.column("c").combine_chunks()
+    assert out.type == arr.type and out.null_count == arr.null_count
+    assert pa.compute.is_valid(out).equals(pa.compute.is_valid(arr))
+    got, want = _strip_validity(out), _strip_validity(stored)
+    if kind.startswith("float"):
+        w = np.dtype(kind).itemsize
+        assert got.to_numpy().view(f"u{w}").tolist() == want.to_numpy().view(f"u{w}").tolist()
+    else:
+        assert got.to_pylist() == want.to_pylist()
+    if kind == "list":  # a null slot over a non-empty list keeps its values
+        assert any(v and not ok for v, ok in zip(got.to_pylist(), pa.compute.is_valid(arr).to_pylist()))

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokcodec.blocks import codec_summary, decode_table, encode_table, header_stats, read_header
-from tokcodec.codecs import encode_bytes_auto, fsst
+from tokcodec.codecs import bytescodecs as bc
+from tokcodec.codecs import decode_bytes, encode_bytes_auto, fsst
 from tokcodec.codecs import intcodecs as ic
 from tokcodec.codecs.bytescodecs import _enc_dict_bytes, _enc_plain_bytes
 from tokcodec.codecs.util import arr_to_np
@@ -183,26 +184,212 @@ def test_for_trial_kept_for_uint64_at_or_above_2_63():
     assert ic._enc_rle in ic._undominated(ic._candidates(), np.repeat(arr, 2))
 
 
-@pytest.mark.parametrize("col", ["doc_id", "text"])
-def test_all_distinct_small_column_builds_fsst_table_once(col, monkeypatch):
-    if col == "doc_id":
-        arr = make_table(1500, seed=101, heavy_tail=False).column("doc_id").combine_chunks()
-    else:
-        arr = pa.array([f"row {i} of a column whose strings share words" for i in range(900)])
-    assert len(pc.unique(arr)) == len(arr) <= 4096
+def _counting_builds(monkeypatch) -> list[int]:
+    """The string bytes of every FSST table build from here on."""
     builds = []
     real = fsst._build_table
 
     def counting(lengths, data):
-        builds.append(len(lengths))
+        builds.append(int(lengths.sum()))
         return real(lengths, data)
 
     monkeypatch.setattr(fsst, "_build_table", counting)
+    return builds
+
+
+def _vocab_text(n: int) -> pa.Array:
+    """8-29 words per string from a 30-word vocabulary, ~105 B a string."""
+    rng = np.random.default_rng(7)
+    words = ("spark window merge table column vector stream value data small join "
+             "filter big group hash customer sort order slow line part fast row the "
+             "agg key query a scan batch").split()
+    return pa.array([" ".join(rng.choice(words, rng.integers(8, 30))) for _ in range(n)])
+
+
+def _unscreened_pick(arr: pa.Array) -> dict:
+    """The all-distinct pick with every trial run in full: plain or FSST.
+    The dictionary over all-distinct values is those values plus codes, so
+    its estimate is never below theirs (with zero-cost ``arange`` codes it
+    ties, and the pick keeps the codec without the dictionary)."""
+    cands = [c for c in (_enc_plain_bytes(arr), fsst.try_fsst(arr)) if c is not None]
+    best = min(cands, key=ic._est_z)
+    assert ic._est_z(_enc_dict_bytes(arr)) >= ic._est_z(best)
+    return best
+
+
+@pytest.mark.parametrize("col", ["doc_id", "text"])
+def test_all_distinct_small_column_builds_fsst_table_once(col, monkeypatch):
+    """An all-distinct column builds no dictionary and one screen-sized FSST
+    table, plus one full-size table only where FSST won the screen; the
+    pick is the minimum over plain and a full FSST trial."""
+    if col == "doc_id":
+        arr = make_table(1500, seed=101, heavy_tail=False).column("doc_id").combine_chunks()
+    else:
+        arr = _vocab_text(900)
+    assert len(pc.unique(arr)) == len(arr) <= 4096
+    lengths, _ = arr_to_np(arr)
+    assert lengths.sum() > bc.SCREEN_MIN
+    builds = _counting_builds(monkeypatch)
+    monkeypatch.setattr(bc, "_enc_dict_bytes", None)  # never called
     enc = encode_bytes_auto(arr)
-    assert len(builds) == 1
-    # the pick is the minimum over plain, dict and a separately built FSST
-    cands = [_enc_plain_bytes(arr), _enc_dict_bytes(arr), fsst.try_fsst(arr)]
-    assert _enc_bytes(enc) == _enc_bytes(min(cands, key=ic._est_z))
+    # the screen's table: the shortest prefix reaching SCREEN_BYTES
+    assert bc.SCREEN_BYTES <= builds[0] < bc.SCREEN_BYTES + lengths.max()
+    if col == "doc_id":
+        assert len(builds) == 1 and enc["c"] == "pbytes"
+    else:
+        assert builds[1:] == [int(np.cumsum(lengths)[np.searchsorted(
+            np.cumsum(lengths), fsst.SAMPLE_BYTES)])] and enc["c"] == "fsst"
+    monkeypatch.undo()
+    assert _enc_bytes(enc) == _enc_bytes(_unscreened_pick(arr))
+
+
+def test_vocabulary_text_column_picks_fsst_from_full_size_table(monkeypatch):
+    """Past 4096 rows the trial runs on a byte-capped sample: the screen
+    passes vocabulary text and the winning table is built on the whole
+    sample, not the screen prefix."""
+    arr = _vocab_text(6000)
+    builds = _counting_builds(monkeypatch)
+    enc = encode_bytes_auto(arr)
+    assert enc["c"] == "fsst" and len(builds) == 2
+    assert builds[0] < bc.SCREEN_BYTES + 300 < 4 * bc.SCREEN_BYTES < builds[1]
+    monkeypatch.undo()
+    # the block's table is the one built on the sample's whole prefix
+    lengths, data = arr_to_np(arr)
+    rows = int(np.searchsorted(np.cumsum(lengths), builds[1])) + 1
+    assert lengths[:rows].sum() == builds[1]
+    assert fsst.table_of(enc) == fsst._build_table(lengths[:rows], data[:builds[1]])
+    assert decode_bytes(enc).equals(arr)
+
+
+@st.composite
+def _dict_columns(draw):
+    """String columns with repeats: a few to a few hundred distinct values,
+    short codes or vocabulary phrases, some of them over SCREEN_MIN bytes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_vals = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["codes", "phrases", "random"]))
+    if kind == "codes":
+        vals = [f"{draw(st.sampled_from(['AB', 'x-', 'SHIP ']))}{i}" for i in range(n_vals)]
+    elif kind == "phrases":
+        words = draw(st.lists(st.text("abcdefgh ", min_size=1, max_size=9), min_size=1,
+                              max_size=20))
+        vals = sorted({" ".join(rng.choice(words, rng.integers(1, 8))) for _ in range(n_vals)})
+    else:
+        vals = [bytes(rng.integers(0, 256, rng.integers(0, 30), dtype=np.uint8)).hex()
+                for _ in range(n_vals)]
+    return pa.array(rng.choice(vals, draw(st.integers(len(vals), 3 * len(vals) + 5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arr=_dict_columns())
+def test_dict_values_keep_the_lower_estimate(arr):
+    """A dictionary's values take FSST only where its estimate is lower
+    than plain's; under the screen size the FSST trial is the full one."""
+    uvals = pc.dictionary_encode(arr).dictionary
+    venc = _enc_dict_bytes(arr)["k"]["uvals"]
+    assert ic._est_z(venc) <= ic._est_z(_enc_plain_bytes(uvals))
+    f = bc._fsst_trial(uvals)
+    if arr_to_np(uvals)[0].sum() <= bc.SCREEN_MIN:
+        assert _enc_bytes(f) == _enc_bytes(fsst.try_fsst(uvals))
+    if f is not None:
+        assert ic._est_z(venc) <= ic._est_z(f)
+    assert decode_bytes(venc).equals(uvals)
+
+
+def test_flattened_header_has_no_estimates():
+    """``_est_z`` keeps its estimate on the node; the header copies only
+    the codec fields."""
+    t = make_table(300, seed=3, heavy_tail=False).append_column(
+        "f", pa.array(np.random.default_rng(0).random(300)))
+    col = t.column("doc_id").combine_chunks()
+    enc = encode_bytes_auto(col)
+    assert "z" in enc
+
+    def keys(node):
+        yield set(node)
+        for ch in node["k"].values():
+            yield from keys(ch)
+
+    for c in read_header(encode_table(t))["columns"]:
+        assert all(k == {"c", "m", "ps", "k"} for k in keys(c["enc"]))
+
+
+# ------------------------------------------------------ vtop top-255 rank ----
+
+
+def _oracle_enc_vtop(arr: np.ndarray) -> dict | None:
+    """``_enc_vtop`` before the bounded rank, kept as the oracle: one stable
+    argsort over every distinct value's count (numpy gathers stand in for
+    its Arrow take and filter, which give the same bytes)."""
+    n = len(arr)
+    if n < 1024:
+        return None
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo < 0 or hi >= ic._VTOP_MAX:
+        return None
+    samp = arr[:ic._VTOP_SAMPLE] if n > ic._VTOP_SAMPLE else arr
+    if samp.dtype == np.uint64:
+        samp = samp.astype(np.int64)
+    cnt = np.bincount(samp, minlength=hi + 1)
+    uniq = np.flatnonzero(cnt)
+    if len(uniq) <= 1:
+        return None
+    order = np.argsort(-cnt[uniq], kind="stable")
+    top = uniq[order[:ic._VTOP_ESC]].astype(np.int64)
+    lut8 = np.full(hi + 1, ic._VTOP_ESC, dtype=np.uint8)
+    lut8[top] = np.arange(len(top), dtype=np.uint8)
+    b0 = lut8[arr]
+    ext = arr[b0 == ic._VTOP_ESC]
+    k = {"values": ic._best_int(top, allow_dict=False)}
+    tail = uniq[order[ic._VTOP_ESC:]]
+    span = hi - lo
+    if n <= ic._VTOP_SAMPLE and 0 < len(tail) <= 256 and span >= 256:
+        rank = np.zeros(hi + 1, dtype=np.uint8)
+        rank[tail] = np.arange(len(tail), dtype=np.uint8)
+        ext = rank[ext]
+        k["tail"] = ic._best_int(tail.astype(np.int64), allow_dict=False)
+        ew = 1
+    else:
+        if lo:
+            ext = ext - arr.dtype.type(lo)
+        ew = 1 if span < (1 << 8) else 2 if span < (1 << 16) else 4
+    return ic._node(
+        "vtop",
+        {"dt": arr.dtype.str, "n": n, "ne": len(ext), "ew": ew, "lo": lo, "nt": len(top)},
+        [b0] + ic._split_planes(ext.astype(f"<u{ew}")),
+        k=k,
+    )
+
+
+@st.composite
+def _tie_heavy(draw):
+    """300-5000 distinct values: fewer than 255 counted more often than a
+    boundary count, and enough at the boundary that the 255th largest count
+    is shared past the top set; 300-511 distinct values take the
+    exact-tail branch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_uniq = draw(st.one_of(st.integers(300, 511), st.integers(512, 5000)))
+    above = draw(st.integers(0, ic._VTOP_ESC - 1))
+    at = draw(st.integers(ic._VTOP_ESC + 1 - above, n_uniq - above))
+    boundary = draw(st.integers(2, 5))
+    counts = np.concatenate([boundary + rng.integers(1, 4, above), np.full(at, boundary),
+                             rng.integers(1, boundary, n_uniq - above - at)])
+    counts += -(-1024 // n_uniq)  # at least 1024 rows, the order unchanged
+    domain = draw(st.sampled_from([n_uniq, 1 << 16, ic._VTOP_MAX]))
+    vals = rng.choice(domain, n_uniq, replace=False)
+    arr = rng.permutation(np.repeat(vals, counts))
+    return arr.astype(draw(st.sampled_from([np.int32, np.int64, np.uint32, np.uint64])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arr=_tie_heavy())
+def test_vtop_bounded_rank_matches_full_argsort(arr):
+    cnt = np.unique(arr, return_counts=True)[1]
+    kth = np.sort(cnt)[-ic._VTOP_ESC]
+    assert (cnt > kth).sum() < ic._VTOP_ESC < (cnt >= kth).sum()  # the tie straddles
+    got = ic._enc_vtop(arr)
+    assert ("tail" in got["k"]) == (len(cnt) <= 2 * ic._VTOP_ESC + 1)
+    assert _enc_bytes(got) == _enc_bytes(_oracle_enc_vtop(arr))
 
 
 # ------------------------------------------ saturated-sample dict trial ----

@@ -547,7 +547,7 @@ def test_manifest_records_codec_choices(encoded):
 def test_manifest_codecs_show_nested_choices(encoded):
     """The manifest names the codecs chosen INSIDE other codecs: the
     token values' vtop and its value table, the string columns' length
-    and dictionary-code codecs, FSST inside a dictionary."""
+    and dictionary-code codecs, plain values inside a dictionary."""
     from tokcodec import manifest as mf
 
     _src, out, _res = encoded
@@ -555,7 +555,7 @@ def test_manifest_codecs_show_nested_choices(encoded):
         "doc_id": "pbytes(len=for)",
         "tokens": "list(len=bps,values=vtop(values=delta(z=for)))",
         "n_tok": "bps",
-        "source": "dbytes(codes=bp,uvals=fsst(slen=for))",
+        "source": "dbytes(codes=bp,uvals=pbytes(len=for))",
     }
 
 

@@ -232,33 +232,15 @@ def decode_array(enc: dict, t: pa.DataType) -> pa.Array:
         else:
             base = pa.array(vals.astype(_np_dtype(t), copy=False), type=t)
         out = base.cast(t)
-        if mask is not None:
-            # the encoded data holds the raw values under null slots too
-            # (see encode_array), so they come back as they went in
-            out = pa.Array.from_buffers(
-                t, len(out), [pa.py_buffer(k["valid"]["p"][0]), out.buffers()[1]],
-                null_count=int(mask.sum()))
-        return out
-    if kind == "float":
-        vals = decode_float(k["data"])
-        out = pa.array(vals, type=t)
-        if mask is not None:
-            out = pc.if_else(pa.array(mask), pa.nulls(len(out), t), out)
-        return out
-    if kind == "bool":
-        vals = decode_int(k["data"]).astype(bool)
-        out = pa.array(vals, type=pa.bool_())
-        if mask is not None:
-            out = pc.if_else(pa.array(mask), pa.nulls(len(out), t), out)
-        return out
-    if kind == "bytes":
+    elif kind == "float":
+        out = pa.array(decode_float(k["data"]), type=t)
+    elif kind == "bool":
+        out = pa.array(decode_int(k["data"]).astype(bool), type=pa.bool_())
+    elif kind == "bytes":
         out = decode_bytes(k["data"])
         if out.type != t:
             out = out.cast(t)
-        if mask is not None:
-            out = pc.if_else(pa.array(mask), pa.nulls(len(out), t), out)
-        return out
-    if kind == "list":
+    elif kind == "list":
         lengths = decode_int(k["len"]).astype(np.int64)
         values = decode_array(k["values"], t.value_type)
         offsets = np.empty(len(lengths) + 1, dtype=np.int64)
@@ -273,8 +255,18 @@ def decode_array(enc: dict, t: pa.DataType) -> pa.Array:
         out = cls.from_arrays(off_arr, values)
         if out.type != t:
             out = out.cast(t)
+    if kind in ("int", "float", "bool", "bytes", "list"):
         if mask is not None:
-            out = pc.if_else(pa.array(mask), pa.nulls(len(lengths), t), out)
+            # the encoded data holds what encode_array stored under null
+            # slots too (raw values, or the fill of bool and bytes, and
+            # the lengths and values of null lists), so the stored
+            # validity goes back on top of it and they come back as they
+            # went in
+            out = pa.Array.from_buffers(
+                t, len(out),
+                [pa.py_buffer(k["valid"]["p"][0])] + out.buffers()[1:t.num_buffers],
+                null_count=int(mask.sum()),
+                children=[out.values] if kind == "list" else None)
         return out
     if kind == "struct":
         children = [decode_array(k[f"f{i}"], t.field(i).type) for i in range(t.num_fields)]

@@ -245,6 +245,19 @@ _VTOP_ESC = 255
 _VTOP_SAMPLE = 1 << 21  # prefix rows used to pick the top-255 value set
 
 
+def _by_count(counts: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` largest ``counts`` (all of them when ``k``
+    covers the array) in (count desc, position asc) order: the first ``k``
+    of a stable argsort of ``-counts``.  Only the positions whose count
+    reaches the k-th largest are sorted; the rest are bounded away by one
+    O(n) partition."""
+    if k < len(counts):
+        kth = np.partition(counts, len(counts) - k)[len(counts) - k]
+        pos = np.flatnonzero(counts >= kth)
+        return pos[np.argsort(-counts[pos], kind="stable")[:k]]
+    return np.argsort(-counts, kind="stable")
+
+
 def _enc_vtop(arr: np.ndarray) -> dict | None:
     """Escape-coded top-value remap: the 255 most frequent values (counted
     on a deterministic 2M-row prefix; below that the whole array, so the
@@ -257,8 +270,10 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
     probability — within ~2% of the zero-order entropy floor on the bench
     corpus.  The encode makes one O(n) LUT gather plus one gather over the
     escaped minority; only the sample is counted.  Rank order inside the
-    top set follows (count desc, value asc) on the sample with a stable
-    argsort, so resumed runs re-encode byte-identically."""
+    top set follows (count desc, value asc) on the sample, so resumed runs
+    re-encode byte-identically; only the values counted at least as often
+    as the 255th are sorted (``_by_count``), not all of the sample's
+    ~39 K distinct token ids."""
     n = len(arr)
     if n < 1024:
         return None
@@ -275,7 +290,10 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
     uniq = np.flatnonzero(cnt)
     if len(uniq) <= 1:
         return None  # constant column: rle/dict territory
-    order = np.argsort(-cnt[uniq], kind="stable")  # ties: smaller value first
+    span = hi - lo
+    # the tail branch below needs the exact order past the top set too
+    tail_fits = n <= _VTOP_SAMPLE and len(uniq) <= 2 * _VTOP_ESC + 1 and span >= 256
+    order = _by_count(cnt[uniq], len(uniq) if tail_fits else _VTOP_ESC)
     top = uniq[order[:_VTOP_ESC]].astype(np.int64)
     lut8 = np.full(hi + 1, _VTOP_ESC, dtype=np.uint8)
     lut8[top] = np.arange(len(top), dtype=np.uint8)
@@ -297,8 +315,7 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
     )  # native-width gather of the escaped minority
     k = {"values": _best_int(top, allow_dict=False)}
     tail = uniq[order[_VTOP_ESC:]]
-    span = hi - lo
-    if n <= _VTOP_SAMPLE and 0 < len(tail) <= 256 and span >= 256:
+    if tail_fits and len(tail):
         # the sample is the whole array, so the tail is exact: with at
         # most 256 escaped values, one byte indexing the count-ordered
         # tail replaces two planes of raw offsets
@@ -383,7 +400,13 @@ def _est_z(enc: dict) -> float:
     """Estimated *post-container* size: the container zstd-compresses each
     payload, so codec selection must score compressed bytes, not raw bytes
     (bp+zstd routinely beats dict pre-zstd).  Large payloads are estimated
-    from a compressed prefix."""
+    from a compressed prefix.  The estimate is kept on the node under
+    ``z`` (a node is not changed once built, and a candidate is often
+    scored more than once, its children again as parts of their parent);
+    the block header copies only the codec fields, so ``z`` never reaches
+    it."""
+    if "z" in enc:
+        return enc["z"]
     _zstd1 = zstd_lazy.get()
     total = 0.0
     for p in enc["p"]:
@@ -396,6 +419,7 @@ def _est_z(enc: dict) -> float:
             total += min(1.0, ratio) * n
     for ch in enc["k"].values():
         total += _est_z(ch)
+    enc["z"] = total
     return total
 
 

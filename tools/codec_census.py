@@ -1,9 +1,9 @@
 """Codec census: encode a fixed corpus block by block and record, per input,
 its encoded bytes, each top-level column's bytes (summed over the input's
-blocks, see ``_column_bytes``), a digest of its blocks, encode and decode
-seconds, and how often each codec wins at any depth of the column codec
-trees.  Every decode is checked bit-identical (NaN-aware) against its
-source.
+blocks, see ``_column_bytes``), a digest of its blocks, encode seconds
+(per block the median of ``ENCODES`` encodes) and decode seconds, and how
+often each codec wins at any depth of the column codec trees.  Every
+decode is checked bit-identical (NaN-aware) against its source.
 
 The corpus:
 - ``bench.tokens``: the benchmark's token fixture (seed 101) cut by the
@@ -18,10 +18,10 @@ Usage, from the root of a checkout (tokcodec is imported from there):
     python tools/codec_census.py run OUT.json [sf_dir ...]
     python tools/codec_census.py compare BEFORE.json AFTER.json
 
-``compare`` prints markdown tables, including every column whose bytes
-changed, and exits 1 when an input or a column grew or a decode was not
-bit-identical.  Block digests skip the format magic, so a version bump
-alone keeps them equal.
+``compare`` prints markdown tables, including each input's encode seconds
+before and after and every column whose bytes changed, and exits 1 when
+an input or a column grew or a decode was not bit-identical.  Block
+digests skip the format magic, so a version bump alone keeps them equal.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -47,6 +48,7 @@ from tokcodec.cli import tables_bit_identical  # noqa: E402
 from tokcodec.pipelines import encode as pipe  # noqa: E402
 
 SEED = 101
+ENCODES = 3  # encode_s of a block is the median of this many encodes
 
 
 def _codecs(node: dict, out: collections.Counter) -> None:
@@ -87,9 +89,12 @@ def _census(tables, wins: collections.Counter) -> dict:
     identical = True
     columns = collections.Counter()
     for t in tables:
-        t0 = time.perf_counter()
-        blob = blocks.encode_table(t)
-        enc_s += time.perf_counter() - t0
+        times = []
+        for _ in range(ENCODES):
+            t0 = time.perf_counter()
+            blob = blocks.encode_table(t)
+            times.append(time.perf_counter() - t0)
+        enc_s += statistics.median(times)
         t0 = time.perf_counter()
         back, _ = blocks.decode_table(blob)
         dec_s += time.perf_counter() - t0
@@ -135,14 +140,16 @@ def compare(before_path: str, after_path: str) -> int:
     with open(after_path) as f:
         b = json.load(f)
     bad = 0
-    print("| input | before B | after B | delta B | blocks identical | decode identical |")
-    print("|---|---|---|---|---|---|")
+    print("| input | before B | after B | delta B | blocks identical | decode identical "
+          "| before encode_s | after encode_s |")
+    print("|---|---|---|---|---|---|---|---|")
     for name, x in a["inputs"].items():
         y = b["inputs"][name]
         d = y["bytes"] - x["bytes"]
         bad += d > 0 or not y["identical"]
         print(f"| {name} | {x['bytes']} | {y['bytes']} | {d:+d} | "
-              f"{'yes' if x['digest'] == y['digest'] else 'no'} | {'yes' if y['identical'] else 'NO'} |")
+              f"{'yes' if x['digest'] == y['digest'] else 'no'} | {'yes' if y['identical'] else 'NO'} "
+              f"| {x['encode_s']:.4f} | {y['encode_s']:.4f} |")
     print("\n| column | before B | after B | delta B | delta % |")
     print("|---|---|---|---|---|")
     for name, x in a["inputs"].items():
