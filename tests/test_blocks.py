@@ -116,12 +116,61 @@ def test_other_block_format_raises_format_error(tmp_path):
 
     blob = encode_table(pa.table({"a": [1, 2, 3]}))
     old = b"TOKB1\x00" + blob[len(MAGIC):]
-    with pytest.raises(ValueError, match="'TOKB1' is not the supported 'TOKB2'"):
+    with pytest.raises(ValueError, match="'TOKB1' is not the supported 'TOKB3'"):
         decode_table(old)
     path = tmp_path / "old.tokb"
     path.write_bytes(old)
-    with pytest.raises(ValueError, match="'TOKB1' is not the supported 'TOKB2'"):
+    with pytest.raises(ValueError, match="'TOKB1' is not the supported 'TOKB3'"):
         read_header_file(str(path))
+
+
+def test_tokb2_block_raises_format_error(tmp_path):
+    """A TOKB2 block (no ``fdec`` codec) is refused on its magic by every
+    header path, the file decode included, before any codec name is read."""
+    from tokcodec.blocks import MAGIC, decode_file, read_header_file
+
+    blob = encode_table(pa.table({"p": np.round(np.linspace(1, 900, 500), 2)}))
+    assert read_header(blob)["columns"][0]["enc"]["k"]["data"]["c"] == "fdec"
+    old = b"TOKB2\x00" + blob[len(MAGIC):]
+    path = tmp_path / "old.tokb"
+    path.write_bytes(old)
+    for read in (lambda: read_header(old), lambda: read_header_file(str(path)),
+                 lambda: decode_file(str(path)), lambda: decode_file(str(path), ["p"])):
+        with pytest.raises(ValueError, match="'TOKB2' is not the supported 'TOKB3'"):
+            read()
+
+
+def _with_codec(blob: bytes, column: str, name: str) -> bytes:
+    """``blob`` with the codec name of ``column``'s data node set to
+    ``name`` (header re-serialized, payloads as they were)."""
+    import json
+
+    from tokcodec.blocks import MAGIC
+
+    header = read_header(blob)
+    hlen = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    for c in header["columns"]:
+        if c["name"] == column:
+            c["enc"]["k"]["data"]["c"] = name
+    hb = json.dumps(header, separators=(",", ":")).encode()
+    return MAGIC + len(hb).to_bytes(8, "little") + hb + blob[len(MAGIC) + 8 + hlen:]
+
+
+@pytest.mark.parametrize("column", ["i", "f", "s"])
+def test_unknown_codec_name_raises_value_error(column):
+    """An int, float or bytes column whose header names a codec this
+    reader does not have fails with a typed error naming it: not a
+    KeyError, and never a decode by another codec."""
+    t = pa.table({"i": np.arange(100), "f": np.linspace(0, 1, 100),
+                  "s": [f"v{i % 7}" for i in range(100)]})
+    blob = encode_table(t)
+    assert decode_table(_with_codec(blob, column, read_header(blob)["columns"][
+        t.column_names.index(column)]["enc"]["k"]["data"]["c"]))[0].equals(t)
+    bad = _with_codec(blob, column, "zzz")
+    with pytest.raises(ValueError, match="unknown codec 'zzz'"):
+        decode_table(bad)
+    others = [c for c in t.column_names if c != column]
+    assert decode_table(bad, columns=others)[0].equals(t.select(others))
 
 
 def test_codec_summary_renders_every_column_kind():

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokcodec import blocks
 from tokcodec.blocks import codec_summary, decode_table, encode_table, header_stats, read_header
 from tokcodec.codecs import bytescodecs as bc
-from tokcodec.codecs import decode_bytes, encode_bytes_auto, fsst
+from tokcodec.codecs import decode_bytes, encode_bytes_auto, encode_float_auto, fsst
 from tokcodec.codecs import intcodecs as ic
 from tokcodec.codecs.bytescodecs import _enc_dict_bytes, _enc_plain_bytes
 from tokcodec.codecs.util import arr_to_np
@@ -606,3 +607,138 @@ def test_sampled_bp_winner_with_negative_tail_falls_through(monkeypatch):
     assert len(arr) in full
     assert enc["c"] != "bp" and _decodes(enc, arr)
     assert _enc_bytes(enc) == _enc_bytes(_oracle_best_int(arr))
+
+
+# ------------------------------------------------------- decimal floats ----
+
+
+def _oracle_encode_float(arr: np.ndarray) -> dict:
+    """``encode_float_auto`` before ``fdec``, kept as the oracle: fdict on a
+    low-cardinality sample, else plain or bss by their sample estimates."""
+    n = len(arr)
+    view = arr.view(np.uint32 if arr.dtype == np.float32 else np.uint64)
+    if n > 16:
+        uniq = np.unique(view[: min(n, 4 * ic.SAMPLE)])
+        if len(uniq) <= max(16, n // 8):
+            full_uniq, codes = np.unique(view, return_inverse=True)
+            enc = ic._node("fdict", {"dt": arr.dtype.str, "n": n}, k={
+                "codes": ic._best_int(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
+                "values": ic._enc_plain(full_uniq)})
+            if ic.encoded_size(enc) < arr.nbytes:
+                return enc
+    sample = arr[: 4 * ic.SAMPLE] if n > 4 * ic.SAMPLE else arr
+    plain_est = ic._est_z(ic._enc_fplain(sample))
+    bss_est = ic._est_z(ic._node("fbss", {"dt": arr.dtype.str, "n": len(sample)},
+                                 ic._split_planes(sample)))
+    return ic._enc_bss(arr) if bss_est < plain_est else ic._enc_fplain(arr)
+
+
+def _float_bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.uint32 if x.dtype == np.float32 else np.uint64)
+
+
+@st.composite
+def _float_columns(draw):
+    """17-60,000 floats: prices, low-cardinality rates, quantities, random
+    doubles or embedding-like float32, some with a few specials."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(17, 3000), st.integers(3000, 60_000)))
+    kind = draw(st.sampled_from(["price", "rate", "qty", "random", "embedding"]))
+    if kind == "price":
+        x = np.round(rng.uniform(900, 105_000, n), 2)
+    elif kind == "rate":
+        x = rng.integers(0, 11, n) / 100
+    elif kind == "qty":
+        x = rng.integers(1, 51, n).astype(np.float64)
+    elif kind == "random":
+        x = rng.random(n)
+    else:
+        x = (rng.standard_normal(n) * 0.1).astype(np.float32)
+    if draw(st.booleans()):
+        x = x.astype(np.float32)
+    if draw(st.booleans()):
+        x[rng.integers(0, n, max(1, n // 200))] = rng.choice([np.nan, -0.0, np.inf, 1 / 3])
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_float_columns())
+def test_float_pick_is_todays_or_a_strictly_smaller_fdec(x):
+    """The pick is the oracle's, or ``fdec`` whose full-array estimate plus
+    header entry is strictly under the oracle pick's; decode is
+    bit-identical either way."""
+    got, old = encode_float_auto(x), _oracle_encode_float(x)
+    if _enc_bytes(got) != _enc_bytes(old):
+        assert got["c"] == "fdec" and len(x) > 16
+        assert (ic._est_z(got) + ic._header_bytes(got)
+                < ic._est_z(ic._bss_scored(x) if old["c"] == "fbss" else old)
+                + ic._header_bytes(old))
+    assert np.array_equal(_float_bits(ic.decode_float(got)), _float_bits(x))
+
+
+def _float_block_bytes(t: pa.Table, encode_float, monkeypatch) -> int:
+    monkeypatch.setattr(blocks, "encode_float_auto", encode_float)
+    return len(encode_table(t))
+
+
+def test_extendedprice_like_column_picks_fdec_and_shrinks(monkeypatch):
+    """A TPC-H ``l_extendedprice``-shaped column (quantity x part price,
+    two decimals) takes ``fdec`` at e = 2 and a block at most 60% of the
+    pre-``fdec`` block's bytes."""
+    rng = np.random.default_rng(21)
+    n = 200_000
+    price = np.round(rng.integers(1, 51, n) * np.round(rng.uniform(900, 2100, n), 2), 2)
+    t = pa.table({"l_extendedprice": price})
+    enc = encode_float_auto(price)
+    assert enc["c"] == "fdec" and enc["m"]["e"] == 2 and "x" not in enc["k"]
+    assert _oracle_encode_float(price)["c"] in ("fplain", "fbss")
+    old = _float_block_bytes(t, _oracle_encode_float, monkeypatch)
+    new = _float_block_bytes(t, encode_float_auto, monkeypatch)
+    assert new <= 0.6 * old
+    back, _ = decode_table(encode_table(t))
+    assert np.array_equal(_float_bits(back.column(0).to_numpy()), _float_bits(price))
+
+
+def test_random_float32_embeddings_keep_fbss(monkeypatch):
+    """Random float32 embeddings round-trip as decimals at a large e, but
+    the integers compress worse than bss's byte planes: the block is the
+    pre-``fdec`` block byte for byte."""
+    rng = np.random.default_rng(23)
+    vals = (rng.standard_normal(2000 * 64) * 0.1).astype(np.float32)
+    assert ic._fdec_exponent(vals[:4 * ic.SAMPLE]) is not None
+    t = pa.table({"emb": pa.FixedSizeListArray.from_arrays(pa.array(vals), 64)})
+    blob = encode_table(t)
+    assert codec_summary(read_header(blob))["emb"] == "fsl(values=fbss)"
+    monkeypatch.setattr(blocks, "encode_float_auto", _oracle_encode_float)
+    assert encode_table(t) == blob
+
+
+@pytest.mark.parametrize("garbage", ["nan_payloads", "words"])
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+def test_nullable_decimal_column_keeps_null_slot_bits(dt, garbage):
+    """A nullable price column whose null slots hold arbitrary bits (NaN
+    payloads, or random words) decodes to its validity over every stored
+    bit, null slots included.  The slots' bits are ``fdec`` exceptions:
+    with NaN payloads, or random float64 words (nearly all of them far
+    from any decimal), it still takes ``fdec``.  About one random float32
+    word in ten is an integer that round-trips as a huge k: those widen
+    k's frame from 27 to 54 bits, and ``fdec`` loses to the estimate."""
+    rng = np.random.default_rng(25)
+    n = 4 * ic.SAMPLE + 5_000
+    vals = np.round(rng.uniform(0, 10_000, n), 2).astype(dt)
+    valid = rng.random(n) > 0.02  # each null slot's bits are one exception
+    u = _float_bits(vals)
+    words = rng.integers(0, np.iinfo(u.dtype).max, int((~valid).sum()), dtype=u.dtype)
+    if garbage == "nan_payloads":  # all-ones exponent, random sign and payload
+        words |= u.dtype.type(0x7F800000 if dt is np.float32 else 0x7FF0000000000000)
+    u[~valid] = words
+    typ = pa.from_numpy_dtype(np.dtype(dt))
+    arr = pa.Array.from_buffers(typ, n, [pa.py_buffer(np.packbits(valid, bitorder="little")),
+                                         pa.py_buffer(vals)], null_count=int((~valid).sum()))
+    blob = encode_table(pa.table({"c": arr}))
+    if garbage == "nan_payloads" or dt is np.float64:
+        assert codec_summary(read_header(blob))["c"].startswith("fdec(")
+    out = decode_table(blob)[0].column("c").combine_chunks()
+    assert pc.is_valid(out).equals(pc.is_valid(arr)) and out.null_count == arr.null_count
+    raw = np.frombuffer(out.buffers()[1], dtype=vals.dtype)[out.offset:out.offset + n]
+    assert np.array_equal(_float_bits(raw), u)

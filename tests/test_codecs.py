@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokcodec.codecs import (
     bitpack,
@@ -349,3 +351,90 @@ def test_for_decode_uint64_high_bit():
         warnings.simplefilter("error")  # any numpy deprecation -> fail
         got = _dec_for(_enc_for(vals))
     assert got.dtype == np.uint64 and (got == vals).all()
+
+
+# ------------------------------------------------------- decimal floats ----
+
+_F64_SPECIAL = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                0x7FF4DEADBEEF0001, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF]
+_F32_SPECIAL = [0x7FC00000, 0xFFC00000, 0x7F800001, 0x7FA5A5A5, 0x7F800000, 0xFF800000,
+                0x80000000, 0x00000001, 0x007FFFFF]
+# NaN payloads (quiet, negative, signalling, with payload bits), +-inf,
+# -0.0 and subnormals (smallest, largest), as raw bits per width
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return x.view(ic._uint_of(x.dtype))
+
+
+@st.composite
+def _decimal_floats(draw):
+    """float32/float64 arrays of decimals with e in 0..4 digits, some
+    slots swapped for NaN payloads, +-inf, -0.0, subnormals, values of
+    magnitude >= 2^53 and non-decimals."""
+    dt = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(17, 3000))
+    e = draw(st.integers(0, 4))
+    span = draw(st.sampled_from([10, 10**4, 10**7]))
+    x = (rng.integers(-span, span, n) / 10.0**e).astype(dt)
+    share = draw(st.sampled_from([0.0, 0.01, 0.2, 0.9]))
+    hit = np.flatnonzero(rng.random(n) < share)
+    special = np.array(_F32_SPECIAL if dt is np.float32 else _F64_SPECIAL,
+                       dtype=ic._uint_of(np.dtype(dt)))
+    big = np.array([2.0**53, -(2.0**60), 1e300 if dt is np.float64 else 3e38], dtype=dt)
+    kind = rng.integers(0, 3, len(hit))
+    _bits(x)[hit[kind == 0]] = rng.choice(special, int((kind == 0).sum()))
+    x[hit[kind == 1]] = rng.choice(big, int((kind == 1).sum()))
+    x[hit[kind == 2]] = rng.standard_normal(int((kind == 2).sum())).astype(dt) * 1e3
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_decimal_floats())
+def test_fdec_roundtrip_bit_identical(x):
+    """``fdec`` at e = 0, at e = 2 and at the exponent ``_fdec_exponent``
+    picks, and the auto selection, decode ``x`` bit for bit into a
+    writable array."""
+    for e in {0, 2, ic._fdec_exponent(x) or 0}:
+        enc = ic._enc_fdec(x, e)
+        if enc is not None:
+            d = ic._dec_fdec(enc)
+            assert d.dtype == x.dtype and d.flags.writeable
+            assert np.array_equal(_bits(d), _bits(x))
+    d = decode_float(encode_float_auto(x))
+    assert d.dtype == x.dtype and np.array_equal(_bits(d), _bits(x))
+
+
+@pytest.mark.parametrize("dt", [np.float32, np.float64])
+def test_fdec_prices_have_no_exceptions(dt):
+    """Two-decimal prices round-trip through k / 100 with no exception
+    (x * 0.01 would miss many: 29 * 0.01 != 0.29), take e = 2 on the
+    sample, and keep k in an integer child without raw payload."""
+    rng = np.random.default_rng(3)
+    x = np.round(rng.uniform(0, 2000, 50_000), 2).astype(dt)
+    x[:100] = np.arange(100) / 100  # 0.00 .. 0.99, 0.29 among them
+    assert ic._fdec_exponent(x[:4 * ic.SAMPLE]) == 2
+    enc = ic._enc_fdec(x, 2)
+    assert enc["p"] == [] and set(enc["k"]) == {"k"}
+    assert np.array_equal(ic.decode_int(enc["k"]["k"]), np.rint(x.astype(np.float64) * 100))
+    auto = encode_float_auto(x)
+    assert auto["c"] == "fdec" and auto["m"]["e"] == 2
+    assert np.array_equal(_bits(decode_float(auto)), _bits(x))
+
+
+def test_fdec_exceptions_keep_the_frame_and_patch_back():
+    """Exceptions are stored as positions plus raw bits; their k slots hold
+    an exact value's k, so the k child's range stays the decimals'."""
+    rng = np.random.default_rng(9)
+    x = np.round(rng.uniform(100, 200, 40_000), 1)
+    pos = np.sort(rng.choice(len(x), 50, replace=False))
+    x[pos] = rng.choice(np.array([np.nan, -np.inf, -0.0, 5e-324, 2.0**70, 1 / 3]), 50)
+    enc = encode_float_auto(x)
+    assert enc["c"] == "fdec" and enc["m"]["e"] == 1
+    k = ic.decode_int(enc["k"]["k"])
+    assert 1000 <= k.min() and k.max() <= 2000
+    assert np.array_equal(ic.decode_int(enc["k"]["x"]), pos)
+    assert np.array_equal(np.frombuffer(enc["p"][0], np.uint64), _bits(x[pos]))
+    assert np.array_equal(_bits(decode_float(enc)), _bits(x))

@@ -537,7 +537,7 @@ def test_manifest_records_codec_choices(encoded):
     assert set(c0) == {"doc_id", "tokens", "n_tok", "source"}
     assert c0["tokens"].startswith("list(len=")
     known = {"plain", "bp", "for", "delta", "rle", "dict", "fsst", "pbytes", "dbytes",
-             "fdict", "fplain", "fbss", "bps", "vtop", "list"}
+             "fdict", "fplain", "fbss", "fdec", "bps", "vtop", "list"}
     for m in mans:
         for tree in m["codecs"].values():
             # codec names are the words not followed by "=" (child keys are)
@@ -565,7 +565,7 @@ def test_plan_fingerprint_tracks_block_format(fixture_parquet):
     from tokcodec.blocks import MAGIC
 
     cfg = plan_partitions(fixture_parquet, target_tokens=TARGET, parallel=False)["config"]
-    assert cfg["format"] == "TOKB2" and MAGIC.startswith(cfg["format"].encode())
+    assert cfg["format"] == "TOKB3" and MAGIC.startswith(cfg["format"].encode())
 
 
 def test_write_fixture_dir_runs_in_one_cpu_session(tmp_path):

@@ -39,7 +39,7 @@ from tokcodec.projection import Projection, project_schema, resolve_path
 # decode (a new or removed codec, a layout change).  Readers accept only
 # this exact magic, and plan fingerprints include it, so an encode dir of
 # an older format is re-encoded on resume, never mixed.
-MAGIC = b"TOKB2\x00"
+MAGIC = b"TOKB3\x00"
 _ZSTD_MIN = 128  # don't bother compressing tiny segments
 # Probe-gate full-segment zstd: segments over this size first compress a
 # 64 KB prefix and skip the full pass when the prefix barely compresses

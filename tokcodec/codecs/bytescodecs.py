@@ -13,7 +13,7 @@ import pyarrow.compute as pc
 
 from tokcodec.codecs.fsst import decode_fsst, table_of, try_fsst
 from tokcodec.codecs.intcodecs import _best_int, _est_z, _node, decode_int
-from tokcodec.codecs.util import _PA_TYPES, arr_to_np, np_to_arr, type_name
+from tokcodec.codecs.util import _PA_TYPES, arr_to_np, dispatch, np_to_arr, type_name
 
 # FSST is worthwhile on short-ish strings; guard against pathological
 # per-string loop counts on huge documents (SURVEY.md §7 hard parts).
@@ -149,11 +149,8 @@ def encode_bytes_auto(arr: pa.Array) -> dict:
     return _enc_plain_bytes(arr) if best == "pbytes" else _enc_dict_bytes(arr)
 
 
+_BYTES_DECODERS = {"pbytes": _dec_plain_bytes, "dbytes": _dec_dict_bytes, "fsst": decode_fsst}
+
+
 def decode_bytes(enc: dict) -> pa.Array:
-    if enc["c"] == "pbytes":
-        return _dec_plain_bytes(enc)
-    if enc["c"] == "dbytes":
-        return _dec_dict_bytes(enc)
-    if enc["c"] == "fsst":
-        return decode_fsst(enc)
-    raise KeyError(enc["c"])
+    return dispatch(_BYTES_DECODERS, enc)

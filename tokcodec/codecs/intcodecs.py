@@ -1,6 +1,8 @@
-"""Integer (and float) codecs: plain, bit-pack, frame-of-reference, delta,
-RLE, dictionary, byte-plane split and top-value rank remap — each with
-encode/decode — plus a sampled-size auto-selector.
+"""Integer codecs: plain, bit-pack, frame-of-reference, delta, RLE,
+dictionary, byte-plane split and top-value rank remap; float codecs: plain,
+byte-stream split, dictionary over the raw bits and decimal-scaled integers
+(``fdec``) — each with encode/decode — plus a sampled-size auto-selector
+per kind.
 
 All intermediates are int64/uint64 so int32 token ids can't overflow
 (SURVEY.md §7 "hard parts": dtype discipline for bit-identical decode).
@@ -8,12 +10,15 @@ All intermediates are int64/uint64 so int32 token ids can't overflow
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from tokcodec.codecs import bitpack
-from tokcodec.codecs.util import zstd_lazy
+from tokcodec.codecs.util import dispatch, zstd_lazy
 
 # Deterministic contiguous sample size used for codec selection.  A strided
 # sample would destroy runs and bias against RLE, so we take a prefix.
@@ -404,7 +409,19 @@ def _est_z(enc: dict) -> float:
     ``z`` (a node is not changed once built, and a candidate is often
     scored more than once, its children again as parts of their parent);
     the block header copies only the codec fields, so ``z`` never reaches
-    it."""
+    it.
+
+    The prefix estimate runs low on large payloads whose redundancy spans
+    more than the prefix can see.  sf0.1 ``l_extendedprice`` as ``fplain``
+    (4.8 MB) compresses to 0.7994 of its bytes at Arrow's zstd level 1,
+    but every 256 KB slice of it to 0.555, so the estimate puts the column
+    at 2.66 MB against 3.84 MB real (-31%).  Level 3 gives 0.538 on the
+    whole payload, but moving the level also grew the bench token blocks
+    (8.19 -> 8.47 MB), so that is a change of its own.  Until then a pick
+    must not flip on an estimate tie to a codec that is larger in real
+    bytes: ``fdec`` ties ``fdict`` within 0.04% on sf0.1 ``l_discount``
+    and ``l_tax``, and the codec census (tools/codec_census.py) judges
+    such ties."""
     if "z" in enc:
         return enc["z"]
     _zstd1 = zstd_lazy.get()
@@ -538,7 +555,7 @@ def encode_int_auto(arr: np.ndarray) -> dict:
 
 
 def decode_int(enc: dict) -> np.ndarray:
-    return _INT_DECODERS[enc["c"]](enc)
+    return dispatch(_INT_DECODERS, enc)
 
 
 # ---------------------------------------------------------------- float ----
@@ -568,44 +585,191 @@ def _dec_bss(enc: dict) -> np.ndarray:
     return bytes2d.reshape(-1).view(dt)[:n]
 
 
-def encode_float_auto(arr: np.ndarray) -> dict:
-    """Floats: plain, byte-stream split, or dict when cardinality is low
-    (bit-identical via viewing the raw bits as integers so NaN payloads
-    survive).  plain-vs-bss is scored on estimated post-container zstd
-    size from a prefix sample, same policy as `_best_int`."""
-    n = len(arr)
-    view = arr.view(np.uint32 if arr.dtype == np.float32 else np.uint64)
-    if n > 16:
-        uniq = np.unique(view[: min(n, 4 * SAMPLE)])
-        if len(uniq) <= max(16, n // 8):
-            full_uniq, codes = np.unique(view, return_inverse=True)
-            enc = _node(
-                "fdict",
-                {"dt": arr.dtype.str, "n": n},
-                k={
-                    "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
-                    "values": _enc_plain(full_uniq),
-                },
-            )
-            if encoded_size(enc) < arr.nbytes:
-                return enc
-    sample = arr[: 4 * SAMPLE] if n > 4 * SAMPLE else arr
-    plain_est = _est_z(_enc_fplain(sample))
-    # score bss per byte-plane: a whole-buffer prefix ratio lands on the
-    # random mantissa planes and extrapolates wrongly, while each plane is
-    # homogeneous, so one prefix ratio per plane is accurate (the container
-    # compresses the single concatenated payload to ~the sum of the planes)
-    bss_est = _est_z(_node("fbss", {"dt": arr.dtype.str, "n": len(sample)}, _split_planes(sample)))
-    if bss_est < plain_est:
-        return _enc_bss(arr)
-    return _enc_fplain(arr)
+def _uint_of(dt: np.dtype) -> np.dtype:
+    """The unsigned integer dtype of ``dt``'s width: the raw-bits view."""
+    return np.dtype(f"<u{dt.itemsize}")
 
 
-def decode_float(enc: dict) -> np.ndarray:
-    if enc["c"] == "fplain":
-        return _dec_plain(enc)
-    if enc["c"] == "fbss":
-        return _dec_bss(enc)
+def _enc_fdict(arr: np.ndarray) -> dict:
+    """Dictionary over the raw bits viewed as integers, so NaN payloads
+    survive."""
+    uniq, codes = np.unique(arr.view(_uint_of(arr.dtype)), return_inverse=True)
+    return _node(
+        "fdict",
+        {"dt": arr.dtype.str, "n": len(arr)},
+        k={
+            "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
+            "values": _enc_plain(uniq),
+        },
+    )
+
+
+def _dec_fdict(enc: dict) -> np.ndarray:
     uniq = _dec_plain(enc["k"]["values"])
     codes = decode_int(enc["k"]["codes"])
     return uniq[codes].view(np.dtype(enc["m"]["dt"]))
+
+
+# -------------------------------------------------------- decimal floats ----
+# ``fdec`` stores a float column of decimals (prices, amounts) as the
+# integers k = rint(x * 10^e) through ``_best_int``, decoded as k / 10^e:
+# ALP (Afroozeh, Kuffo, Boncz, SIGMOD 2024) and BtrBlocks' pseudodecimals
+# (SIGMOD 2023).  Every value is checked bit for bit at encode; the ones
+# that do not come back (NaN payloads, +-inf, -0.0, subnormals,
+# non-decimals, |k| >= 2^53) are exceptions stored as positions plus raw
+# bits and written back over the decoded values.  The arithmetic is
+# float64 for float32 columns too (widening is exact).
+
+_FDEC_EMAX = 18  # 10^18 is exact in float64; |k| < 2^53 bounds x * 10^e
+_FDEC_KMAX = float(1 << 53)  # every int64 below it converts to float64 exactly
+
+
+def _fdec_fit(arr: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(kf, exact): kf = rint(x * 10^e) in float64, and whether |kf| < 2^53
+    (so kf is an exact int64; NaN and inf fail) and (kf / 10^e) cast to
+    ``arr``'s dtype gives x back bit for bit.  The check divides by the
+    exact power of ten, as the decode does; multiplying by 10^-e would not
+    round-trip (29 * 0.01 is not 0.29)."""
+    p = float(10**e)
+    with np.errstate(invalid="ignore", over="ignore"):
+        kf = np.rint(arr.astype(np.float64, copy=False) * p)
+        kf += 0.0  # -0.0 -> 0.0: the int64 k the decode divides has no sign bit
+        back = (kf / p).astype(arr.dtype, copy=False)
+        exact = np.abs(kf) < _FDEC_KMAX
+    u = _uint_of(arr.dtype)
+    exact &= back.view(u) == arr.view(u)
+    return kf, exact
+
+
+def _fdec_exponent(sample: np.ndarray) -> int | None:
+    """The e in 0.._FDEC_EMAX that stores ``sample`` in the fewest bits by a
+    cheap model (ties to the smaller e): each exact value costs the bit
+    width of the exact k's range, each exception its raw bits plus 32 for
+    its position.  None when no value round-trips at any e.  The count of
+    exact round trips alone picks badly: 2-decimal prices with 2% of null
+    slots holding random words round-trip 32,103 of 32,768 at e = 2 and
+    32,105 at e = 11, where two of the random words happen to be exact,
+    and k grows from 20 to 50 bits.  The loop stops at the first e with
+    no exception: past it k only widens."""
+    best, least = None, math.inf
+    miss_bits = 8 * sample.dtype.itemsize + 32
+    for e in range(_FDEC_EMAX + 1):
+        kf, exact = _fdec_fit(sample, e)
+        hits = int(np.count_nonzero(exact))
+        if not hits:
+            continue
+        span = kf.max(where=exact, initial=-np.inf) - kf.min(where=exact, initial=np.inf)
+        cost = hits * int(span).bit_length() + (len(sample) - hits) * miss_bits
+        if cost < least:
+            best, least = e, cost
+        if hits == len(sample):
+            break
+    return best
+
+
+def _enc_fdec(arr: np.ndarray, e: int) -> dict | None:
+    """``arr`` as k = rint(x * 10^e) plus exceptions; None when no value
+    round-trips.  An exception's k slot takes the first exact value's k,
+    so exceptions do not widen the k child's frame."""
+    kf, exact = _fdec_fit(arr, e)
+    first = int(np.argmax(exact))
+    if not exact[first]:
+        return None
+    m = {"dt": arr.dtype.str, "n": len(arr), "e": e}
+    miss = np.flatnonzero(~exact)
+    if not len(miss):
+        return _node("fdec", m, k={"k": _best_int(kf.astype(np.int64))})
+    k = np.where(exact, kf, kf[first]).astype(np.int64)
+    raw = np.ascontiguousarray(arr[miss]).view(np.uint8)
+    return _node("fdec", m, [raw], k={"k": _best_int(k), "x": _best_int(miss.astype(np.int64))})
+
+
+def _dec_fdec(enc: dict) -> np.ndarray:
+    m = enc["m"]
+    dt = np.dtype(m["dt"])
+    out = (decode_int(enc["k"]["k"]) / float(10 ** m["e"])).astype(dt, copy=False)
+    if "x" in enc["k"]:
+        u = _uint_of(dt)
+        pos = decode_int(enc["k"]["x"])
+        out.view(u)[pos] = np.frombuffer(enc["p"][0], dtype=u)[: len(pos)]
+    return out
+
+
+def encode_float_auto(arr: np.ndarray) -> dict:
+    """Floats: plain, byte-stream split, dict when cardinality is low, or
+    decimal-scaled integers.  plain-vs-bss is scored on estimated
+    post-container zstd size from a prefix sample, same policy as
+    `_best_int`, and ``fdec``'s exponent is picked on that sample
+    (``_fdec_exponent``).  The pick before ``fdec`` stands unless ``fdec``
+    beats its estimate twice: on a screen prefix, then on the full array,
+    where ``fdec`` must come in strictly under the other pick's full-array
+    estimate, header bytes included (``_est_z`` says why an estimate tie
+    must not flip).  Arrays of at most 16 values take no dict or ``fdec``
+    trial."""
+    n = len(arr)
+    sample = arr[: 4 * SAMPLE] if n > 4 * SAMPLE else arr
+    best = None
+    if n > 16:
+        uniq = np.unique(sample.view(_uint_of(arr.dtype)))
+        if len(uniq) <= max(16, n // 8):
+            enc = _enc_fdict(arr)
+            if encoded_size(enc) < arr.nbytes:
+                best = enc
+    if best is None:
+        plain_est = _est_z(_enc_fplain(sample))
+        bss_est = _est_z(_bss_scored(sample))
+        best = _enc_bss(arr) if bss_est < plain_est else _enc_fplain(arr)
+        if n <= 16:
+            return best
+        est = min(bss_est, plain_est) * (n / len(sample))
+    else:
+        est = _est_z(best)
+    e = _fdec_exponent(sample)
+    if e is None:
+        return best
+    if n > 2 * SAMPLE:
+        # screen on the int selector's own sample size, scaled to n like
+        # the vtop trial in ``_sampled_pick`` (exact for a fixed-width k
+        # child): the trial's k child runs every int candidate, which on
+        # the float sample would cost ~10-14 ms a column, ~3x the
+        # full-array build of a column over 4 * SAMPLE rows.  Up to
+        # 2 * SAMPLE rows a losing full build costs at most two screens,
+        # and a winning one saves the screen.
+        trial = _enc_fdec(arr[:SAMPLE], e)
+        if trial is None or _est_z(trial) * (n / SAMPLE) >= est:
+            return best
+    dec = _enc_fdec(arr, e)
+    est = _est_z(_bss_scored(arr) if best["c"] == "fbss" else best)
+    if dec is not None and _est_z(dec) + _header_bytes(dec) < est + _header_bytes(best):
+        return dec
+    return best
+
+
+def _header_bytes(enc: dict) -> int:
+    """Bytes of ``enc``'s entry in the block header: the JSON of its codec
+    fields, segment ids counted at two digits.  The deciding comparison of
+    ``fdec`` adds them to the payload estimate: on small blocks a deep
+    ``k`` tree can win the payload estimate by less than its header costs
+    (sf0.01 ``l_tax``: -34 B of payload, +103 B of header)."""
+
+    def entry(e: dict) -> dict:
+        return {"c": e["c"], "m": e["m"], "ps": [10] * len(e["p"]),
+                "k": {name: entry(ch) for name, ch in e["k"].items()}}
+
+    return len(json.dumps(entry(enc), separators=(",", ":")))
+
+
+def _bss_scored(arr: np.ndarray) -> dict:
+    """``fbss`` laid out to be scored, one payload per byte-plane: a
+    whole-buffer prefix ratio lands on the random mantissa planes and
+    extrapolates wrongly, while each plane is homogeneous, so one prefix
+    ratio per plane is accurate (the container compresses the single
+    concatenated payload to ~the sum of the planes)."""
+    return _node("fbss", {"dt": arr.dtype.str, "n": len(arr)}, _split_planes(arr))
+
+
+_FLOAT_DECODERS = {"fplain": _dec_plain, "fbss": _dec_bss, "fdict": _dec_fdict, "fdec": _dec_fdec}
+
+
+def decode_float(enc: dict) -> np.ndarray:
+    return dispatch(_FLOAT_DECODERS, enc)

@@ -39,6 +39,16 @@ class _LazyCodec:
 zstd_lazy = _LazyCodec()
 
 
+def dispatch(decoders: dict, enc: dict):
+    """Decode ``enc`` with its codec's entry in ``decoders``: a name the
+    table lacks (a corrupt header, or a codec this reader does not have)
+    is a ValueError, not a KeyError or a wrong decoder."""
+    fn = decoders.get(enc["c"])
+    if fn is None:
+        raise ValueError(f"unknown codec {enc['c']!r}")
+    return fn(enc)
+
+
 def arr_to_np(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     """(lengths int64[n], data uint8[total]) for a null-free binary-ish array."""
     if arr.null_count:
