@@ -3,9 +3,14 @@ the one-pass FSST table build matches the sequential builder it replaced,
 ``_best_int`` still picks the minimum over every candidate, and an
 all-distinct small string column builds its FSST table once.  A large int
 column whose sample has seen its domain keeps a dict trial, which never
-grows a column against the pre-change selection kept here as the oracle."""
+grows a column against the pre-change selection kept here as the oracle.
+Composite trials score stand-in children that no finished tree keeps, the
+dict and vtop gates keep the trials that can pay, and ``bitpack.unpack``
+matches its bit-matrix path at every width."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 
 from tokcodec import blocks
 from tokcodec.blocks import codec_summary, decode_table, encode_table, header_stats, read_header
+from tokcodec.codecs import bitpack
 from tokcodec.codecs import bytescodecs as bc
 from tokcodec.codecs import decode_bytes, encode_bytes_auto, encode_float_auto, fsst
 from tokcodec.codecs import intcodecs as ic
@@ -742,3 +748,252 @@ def test_nullable_decimal_column_keeps_null_slot_bits(dt, garbage):
     assert pc.is_valid(out).equals(pc.is_valid(arr)) and out.null_count == arr.null_count
     raw = np.frombuffer(out.buffers()[1], dtype=vals.dtype)[out.offset:out.offset + n]
     assert np.array_equal(_float_bits(raw), u)
+
+
+# ------------------------------------------ stand-in children and gates ----
+
+
+def _walk(node):
+    yield node
+    for ch in node["k"].values():
+        yield from _walk(ch)
+
+
+def _fresh(node: dict) -> dict:
+    """``node``'s codec fields only: no stand-in input, no kept estimate."""
+    return {"c": node["c"], "m": node["m"], "p": node["p"],
+            "k": {name: _fresh(ch) for name, ch in node["k"].items()}}
+
+
+def _token_block0():
+    """Block 0 of the benchmark's seed-101 token fixture: the planner's
+    first partition is rows 0-1129 of its first file, which is
+    ``make_table(2000, seed=101)``."""
+    return make_table(2000, seed=101).slice(0, 1130)
+
+
+def test_token_block_selection_work_is_pinned():
+    """Codec nodes built plus ``_est_z`` compressions for one encode of a
+    token block.  The count is exact, so a selection change shows here
+    where its encode time is noise: pin it anew when selection changes on
+    purpose."""
+    t = _token_block0()
+    before = dict(ic.WORK)
+    encode_table(t)
+    assert {k: ic.WORK[k] - before[k] for k in before} == {"nodes": 124, "zstd": 78}
+
+
+def _composite_columns(rng) -> dict:
+    """Columns whose picks take composite codecs at some depth: rle, dict,
+    vtop (with a tail), fdict, fdec with exceptions, dbytes, fsst."""
+    n = 6000
+    price = np.round(rng.uniform(900, 105_000, n), 2)
+    price[rng.integers(0, n, 30)] = np.nan
+    words = "alpha beta gamma delta epsilon zeta eta theta".split()
+    return {
+        "runs": pa.array(np.repeat(rng.integers(0, 9, 400), rng.integers(1, 30, 400))),
+        "wide_lowcard": pa.array(rng.permutation(np.repeat(rng.integers(0, 1 << 40, 900), 3))),
+        "zipf": pa.array(_zipf_tokens(rng, 20_000).astype(np.int32)),
+        "tail": pa.array(rng.choice(rng.choice(5000, 300, replace=False), n).astype(np.int64)),
+        "rates": pa.array(rng.integers(0, 11, n) / 100),
+        "levels": pa.array(rng.choice(rng.random(8), n)),
+        "price": pa.array(price),
+        "codes": pa.array(rng.choice(["AIR", "RAIL", "SHIP", "TRUCK", "MAIL"], n)),
+        "text": pa.array([" ".join(rng.choice(words, 6)) + f" {i}" for i in range(n)]),
+        "lists": pa.array([list(rng.integers(0, 50, rng.integers(0, 9))) for _ in range(800)],
+                          pa.list_(pa.int32())),
+    }
+
+
+def test_finished_trees_carry_no_stand_in_and_true_estimates():
+    """No stand-in (``d``) survives selection, the block header holds the
+    codec fields only, and every node's estimate is that of its finished
+    content, computed afresh."""
+    cols = _composite_columns(np.random.default_rng(31))
+    seen = set()
+    for arr in cols.values():
+        enc = blocks.encode_array(arr)
+        for node in _walk(enc):
+            assert "d" not in node
+            seen.add(node["c"])
+        data = enc["k"]["data"] if "data" in enc["k"] else enc["k"]["values"]["k"]["data"]
+        for node in _walk(data):
+            assert ic._est_z(node) == ic._est_z(_fresh(node))
+    assert {"rle", "dict", "vtop", "fdict", "fdec", "dbytes", "fsst", "pbytes"} <= seen
+    for name, arr in cols.items():
+        (c,) = read_header(encode_table(pa.table({name: arr})))["columns"]
+        assert all(set(node) == {"c", "m", "ps", "k"} for node in _walk(c["enc"]))
+
+
+@st.composite
+def _composite_ints(draw):
+    """Ints that take rle, dict or vtop at some depth: runs, repeated wide
+    values, zipf ids, a few hundred values over a wide domain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 3000), st.integers(3000, 40_000)))
+    kind = draw(st.sampled_from(["runs", "wide", "zipf", "tail"]))
+    if kind == "runs":
+        arr = np.repeat(rng.integers(-5, 9, n), rng.integers(1, 30, n))[:n]
+    elif kind == "wide":
+        arr = rng.choice(rng.integers(0, 1 << 40, max(1, n // 3)), n)
+    elif kind == "zipf":
+        arr = _zipf_tokens(rng, n)
+    else:
+        arr = rng.choice(rng.choice(1 << 20, 300), n)
+    return arr.astype(draw(st.sampled_from([np.int32, np.int64, np.uint64])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=_composite_ints())
+def test_composite_int_roundtrip(arr):
+    enc = ic.encode_int_auto(arr)
+    assert _decodes(enc, arr)
+    assert all("d" not in node for node in _walk(enc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=_float_columns())
+def test_composite_float_roundtrip(x):
+    enc = encode_float_auto(x)
+    assert np.array_equal(_float_bits(ic.decode_float(enc)), _float_bits(x))
+    assert all("d" not in node for node in _walk(enc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=_dict_columns())
+def test_composite_bytes_roundtrip(arr):
+    enc = encode_bytes_auto(arr)
+    assert decode_bytes(enc).equals(arr)
+    assert all("d" not in node for node in _walk(enc))
+
+
+def _finished_min(arr: np.ndarray) -> dict:
+    """The first minimum over every candidate built with finished children."""
+    encs = [e for e in (fn(arr) for fn in ic._candidates()) if e is not None]
+    return min(encs, key=ic._est_z)
+
+
+def test_gates_keep_dict_on_a_small_wide_column():
+    """40-bit values, each in 3 rows (d = n / 3): the codes cost about a
+    quarter of FoR's bits, so the dict trial stays, and dict is the pick."""
+    rng = np.random.default_rng(33)
+    arr = rng.permutation(np.repeat(rng.integers(0, 1 << 40, 1000), 3))
+    assert ic._enc_dict in ic._undominated(ic._candidates(), arr)
+    got = ic._best_int(arr)
+    assert got["c"] == "dict"
+    assert _enc_bytes(got) == _enc_bytes(_finished_min(arr))
+
+
+def test_gates_keep_vtop_on_a_small_zipf_column():
+    """Zipf ids whose 255 most frequent values cover at least half of the
+    rows keep the vtop trial, and vtop is the pick."""
+    arr = _zipf_tokens(np.random.default_rng(35), 30_000)
+    counts = np.sort(np.unique(arr, return_counts=True)[1])
+    assert len(counts) > ic._VTOP_ESC and 2 * counts[-ic._VTOP_ESC:].sum() >= len(arr)
+    assert ic._enc_vtop in ic._undominated(ic._candidates(), arr)
+    got = ic._best_int(arr)
+    assert got["c"] == "vtop"
+    assert _enc_bytes(got) == _enc_bytes(_finished_min(arr))
+
+
+def _wide_distinct(rng, d: int, n: int) -> np.ndarray:
+    """n rows over d distinct values whose (max - min) is 40 bits wide."""
+    vals = np.concatenate(([0, (1 << 40) - 1], rng.choice(1 << 39, d - 2, replace=False) + 1))
+    return rng.permutation(np.concatenate((vals, rng.choice(vals, n - d))))
+
+
+def test_dict_gate_boundary():
+    """d = 999 values of 40 bits: codes take ceil(log2 d) = 10 bits, so
+    dict cannot beat FoR on raw size while n * 30 <= d * 40, i.e. up to
+    1,332 rows (where the two are equal); from 1,333 rows its trial runs."""
+    rng = np.random.default_rng(39)
+    for n, kept in ((1332, False), (1333, True)):
+        arr = _wide_distinct(rng, 999, n)
+        assert (ic._enc_dict in ic._undominated(ic._candidates(), arr)) == kept
+
+
+def _top_covering(rng, share_num: int, share_den: int) -> np.ndarray:
+    """Ids whose 255 most frequent values (4 rows each) cover exactly
+    share_num / share_den of the rows; the rest are singletons."""
+    top = 255 * 4
+    rest = top * share_den // share_num - top
+    vals = rng.permutation(1 << 16)[:255 + rest]
+    return rng.permutation(np.concatenate((np.repeat(vals[:255], 4), vals[255:])))
+
+
+def test_vtop_gate_boundary():
+    """The top 255 values covering exactly half the rows keep the vtop
+    trial; covering 40% (or a permutation's 255 rows) drops it."""
+    rng = np.random.default_rng(41)
+    half, less = _top_covering(rng, 1, 2), _top_covering(rng, 2, 5)
+    assert len(half) == 2 * 255 * 4 and 5 * 255 * 4 == 2 * len(less)
+    assert ic._enc_vtop in ic._undominated(ic._candidates(), half)
+    for arr in (less, rng.permutation(20_000)):
+        assert ic._enc_vtop not in ic._undominated(ic._candidates(), arr)
+
+
+def test_dict_values_without_mergeable_pairs_build_no_fsst_table(monkeypatch):
+    """The token ``source`` values repeat no byte pair 4 times, so no FSST
+    symbol longer than a byte can form: no table is built, and the values
+    stay plain, as the full trial would leave them."""
+    arr = _token_block0().column("source").combine_chunks()
+    uvals = pc.dictionary_encode(arr).dictionary
+    full = fsst.try_fsst(uvals)
+    assert ic._est_z(full) > ic._est_z(_enc_plain_bytes(uvals))
+    builds = _counting_builds(monkeypatch)
+    enc = _enc_dict_bytes(arr)
+    assert builds == [] and enc["k"]["uvals"]["c"] == "pbytes"
+
+
+def test_a_pair_seen_four_times_keeps_the_fsst_trial():
+    """At exactly ``MIN_PAIR`` repeats the table merges the pair, and here
+    FSST wins: "ab" four times is 4 codes plus a 2-byte table, 6 B
+    against 8 B plain."""
+    arr = pa.array(["abababab", "abababab", "x"])
+    assert fsst.can_merge(np.frombuffer(b"abababab", dtype=np.uint8))
+    assert _enc_dict_bytes(arr)["k"]["uvals"]["c"] == "fsst"
+
+
+@settings(max_examples=60, deadline=None)
+@given(vals=_strings())
+def test_no_mergeable_pair_means_fsst_cannot_win(vals):
+    """Whenever ``can_merge`` is false, the full FSST encoding (if any)
+    estimates above plain's."""
+    arr = pa.array(vals, type=pa.binary())
+    lengths, data = arr_to_np(arr)
+    if not fsst.can_merge(data):
+        f = fsst.try_fsst(arr)
+        assert f is None or ic._est_z(f) > ic._est_z(_enc_plain_bytes(arr))
+
+
+# -------------------------------------------------------- bit unpacking ----
+
+
+@pytest.mark.parametrize("bits", range(1, 65))
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(0, 5 * 64 + 9), seed=st.integers(0, 2**32 - 1))
+def test_unpack_matches_bit_matrix(bits, n, seed):
+    """Every width, over lengths that cross chunk ends (the chunk shrunk to
+    64 values, windows used at any length): the output equals the
+    bit-matrix path's on the whole buffer, dtype included, and the packed
+    values."""
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, 1 << 63, n, dtype=np.uint64) >> np.uint64(64 - bits) if bits else None
+    if bits == 64:
+        vals = vals * np.uint64(2) + rng.integers(0, 2, n, dtype=np.uint64)
+    buf = bitpack.pack(vals, bits)
+    dt = bitpack._narrow_uint(bits)
+    with mock.patch.object(bitpack, "_CHUNK", 64), mock.patch.object(bitpack, "_WINDOW_MIN", 0):
+        got = bitpack.unpack(buf, bits, n, dtype=None)
+    ref = bitpack._unpack_bits(np.frombuffer(buf, dtype=np.uint8), bits, n, dt)
+    assert got.dtype == dt and np.array_equal(got, ref)
+    assert np.array_equal(got.astype(np.uint64), vals)
+
+
+@pytest.mark.parametrize("bits", [3, 24, 56, 57, 63])
+def test_unpack_across_the_real_chunk(bits):
+    rng = np.random.default_rng(bits)
+    n = bitpack._CHUNK + 13
+    vals = rng.integers(0, 1 << bits, n, dtype=np.uint64)
+    got = bitpack.unpack(bitpack.pack(vals, bits), bits, n)
+    assert np.array_equal(got, vals)

@@ -11,8 +11,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from tokcodec.codecs.fsst import decode_fsst, table_of, try_fsst
-from tokcodec.codecs.intcodecs import _best_int, _est_z, _node, decode_int
+from tokcodec.codecs.fsst import can_merge, decode_fsst, table_of, try_fsst
+from tokcodec.codecs.intcodecs import _child, _est_z, _finish, _node, _trials, decode_int
 from tokcodec.codecs.util import _PA_TYPES, arr_to_np, dispatch, np_to_arr, type_name
 
 # FSST is worthwhile on short-ish strings; guard against pathological
@@ -29,7 +29,7 @@ def _enc_plain_bytes(arr: pa.Array) -> dict:
         "pbytes",
         {"pa": type_name(arr.type), "n": len(arr)},
         [np.ascontiguousarray(data)],
-        {"len": _best_int(lengths)},
+        {"len": _child(lengths)},
     )
 
 
@@ -77,15 +77,20 @@ def _enc_dict_bytes(arr: pa.Array, fsst_values: bool = True) -> dict:
     codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     uvals = d.dictionary
     # the unique-value blob takes FSST only where its estimate is lower:
-    # on a few short values the symbol table outweighs what it saves
+    # on a few short values the symbol table outweighs what it saves.  A
+    # blob in which no byte pair repeats enough to be merged gets no trial
+    # (``can_merge``): the token ``source`` column's 8 values, 70 B, spent
+    # ~1.2 ms of a ~5 ms column on one
     venc = _enc_plain_bytes(uvals)
-    f = _fsst_trial(uvals) if fsst_values else None
+    f = None
+    if fsst_values and can_merge(venc["p"][0]):
+        f = _fsst_trial(uvals)
     if f is not None and _est_z(f) < _est_z(venc):
         venc = f
     return _node(
         "dbytes",
         {"pa": type_name(arr.type), "n": len(arr)},
-        k={"codes": _best_int(codes, allow_dict=False), "uvals": venc},
+        k={"codes": _child(codes, allow_dict=False), "uvals": venc},
     )
 
 
@@ -100,26 +105,31 @@ def _dec_dict_bytes(enc: dict) -> pa.Array:
 
 
 def encode_bytes_auto(arr: pa.Array) -> dict:
+    """Plain, dictionary or FSST, whichever estimates lowest.  The trials
+    score stand-in int children (``_child``); the winner is finished, or
+    built on the full array outside trial mode."""
     n = len(arr)
     if n <= 4096:
         # small array: the "sample" is the whole array — return the winner
-        cands = [_enc_plain_bytes(arr)]
-        if n:
-            distinct = pc.count_distinct(arr).as_py()
-            # all distinct: the dictionary's values would be the array
-            # itself, encoded as plain or FSST, plus codes, so it cannot
-            # beat both and is not built
-            if distinct < n:
-                cands.append(_enc_dict_bytes(arr))
-            # ≤64 distinct values: dict (≤6-bit codes + tiny value blob)
-            # always beats FSST's ≥1 code byte per string — skip the
-            # symbol-table build, the costliest step for low-card columns
-            # (an all-distinct column has no dict, so it always tries)
-            if distinct == n or distinct > 64:
-                f = _fsst_trial(arr)
-                if f is not None:
-                    cands.append(f)
-        return min(cands, key=_est_z)
+        with _trials():
+            cands = [_enc_plain_bytes(arr)]
+            if n:
+                distinct = pc.count_distinct(arr).as_py()
+                # all distinct: the dictionary's values would be the array
+                # itself, encoded as plain or FSST, plus codes, so it cannot
+                # beat both and is not built
+                if distinct < n:
+                    cands.append(_enc_dict_bytes(arr))
+                # ≤64 distinct values: dict (≤6-bit codes + tiny value blob)
+                # always beats FSST's ≥1 code byte per string — skip the
+                # symbol-table build, the costliest step for low-card columns
+                # (an all-distinct column has no dict, so it always tries)
+                if distinct == n or distinct > 64:
+                    f = _fsst_trial(arr)
+                    if f is not None:
+                        cands.append(f)
+            best = min(cands, key=_est_z)
+        return _finish(best)
     # cap the trial sample by BYTES, not rows: the FSST symbol-table
     # build is O(sample bytes) and dominated encode profiling at 4096
     # rows x ~16 B (~80 ms/partition, ~19% of encode core time); the
@@ -135,14 +145,15 @@ def encode_bytes_auto(arr: pa.Array) -> dict:
     avg_len = max(1, (arr.nbytes - 8 * n) // max(1, n))
     rows = max(128, min(4096, 8192 // avg_len))
     sample = arr.slice(0, rows)
-    dict_cand = _enc_dict_bytes(sample, fsst_values=False)
-    cands = [_enc_plain_bytes(sample), dict_cand]
-    fs = None
-    if dict_cand["k"]["uvals"]["m"]["n"] > 64:  # see small-array shortcut
-        fs = _fsst_trial(sample)
-    if fs is not None:
-        cands.append(fs)
-    best = min(cands, key=_est_z)["c"]
+    with _trials():
+        dict_cand = _enc_dict_bytes(sample, fsst_values=False)
+        cands = [_enc_plain_bytes(sample), dict_cand]
+        fs = None
+        if dict_cand["k"]["uvals"]["m"]["n"] > 64:  # see small-array shortcut
+            fs = _fsst_trial(sample)
+        if fs is not None:
+            cands.append(fs)
+        best = min(cands, key=_est_z)["c"]
     if best == "fsst":
         enc = try_fsst(arr, table=table_of(fs))  # reuse the sample-built table
         return enc if enc is not None else _enc_dict_bytes(arr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from tokcodec.codecs.intcodecs import _best_int, _node, decode_int
+from tokcodec.codecs.intcodecs import _child, _node, decode_int
 from tokcodec.codecs.util import arr_to_np, np_to_arr, type_name
 
 ESCAPE = 255
@@ -32,6 +32,7 @@ MAX_SYM_LEN = 8
 SAMPLE_BYTES = 1 << 15  # 32 KB: same compression as 64 KB, ~40% faster build
 MAX_STR_LEN = 4096
 MAX_MATRIX = 1 << 28  # n_strings * max_len guard for the chain-walk matrix
+MIN_PAIR = 4  # the table build merges a byte pair seen at least this often
 
 
 # ------------------------------------------------------------ table build ----
@@ -65,8 +66,8 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
         # second code of 511)
         keys = seq[:-1] * 512 + seq[1:]
         uniq, counts = np.unique(keys[(seq[:-1] >= 0) & (seq[1:] >= 0)], return_counts=True)
-        # candidates: seen >= 4 times and merging to <= MAX_SYM_LEN bytes
-        ok = (counts >= 4) & (sym_len[uniq // 512] + sym_len[uniq % 512] <= MAX_SYM_LEN)
+        # candidates: seen >= MIN_PAIR times and merging to <= MAX_SYM_LEN bytes
+        ok = (counts >= MIN_PAIR) & (sym_len[uniq // 512] + sym_len[uniq % 512] <= MAX_SYM_LEN)
         uniq, counts = uniq[ok], counts[ok]
         used: set[int] = set()
         accepted: list[tuple[int, int, int]] = []
@@ -111,6 +112,18 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
         gains.append((c * (2 * L - 1), code))
     gains.sort(key=lambda t: (-t[0], t[1]))
     return [sym_bytes[code] for _, code in gains[:MAX_SYMBOLS]]
+
+
+def can_merge(data: np.ndarray) -> bool:
+    """Whether some byte pair occurs ``MIN_PAIR`` times in ``data`` (pairs
+    across string ends included, which only over-counts).  Without one the
+    table holds single bytes only, every byte of the data is in it, so the
+    FSST stream is the data byte for byte, its string lengths are the plain
+    ones, and FSST costs plain's bytes plus its table: it cannot win."""
+    if len(data) < 2:
+        return False
+    pairs = (data[:-1].astype(np.uint16) << 8) | data[1:]
+    return int(np.bincount(pairs, minlength=1).max()) >= MIN_PAIR
 
 
 # ---------------------------------------------------------------- encode ----
@@ -226,7 +239,7 @@ def try_fsst(arr: pa.Array, table: list[bytes] | None = None) -> dict | None:
             "sl": [int(x) for x in sym_lens],
         },
         [table_blob, np.ascontiguousarray(stream)],
-        {"slen": _best_int(slen)},
+        {"slen": _child(slen)},
     )
 
 

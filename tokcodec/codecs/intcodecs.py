@@ -10,6 +10,7 @@ All intermediates are int64/uint64 so int32 token ids can't overflow
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -25,7 +26,14 @@ from tokcodec.codecs.util import dispatch, zstd_lazy
 SAMPLE = 8192
 
 
+# Selection work, for tools and tests: codec nodes built (every encode
+# builds one, trials and stand-ins included) and payload compressions run by
+# ``_est_z``.  Deterministic per input, unlike encode time.
+WORK = {"nodes": 0, "zstd": 0}
+
+
 def _node(c: str, m: dict, p: list[bytes] | None = None, k: dict | None = None) -> dict:
+    WORK["nodes"] += 1
     return {"c": c, "m": m, "p": p or [], "k": k or {}}
 
 
@@ -161,7 +169,7 @@ def _enc_rle(arr: np.ndarray) -> dict:
         "rle",
         {"dt": arr.dtype.str, "n": len(arr)},
         k={
-            "v": _best_int(vals, allow_rle=False, allow_dict=False, allow_vtop=False),
+            "v": _child(vals, allow_rle=False, allow_dict=False, allow_vtop=False),
             # run length >= 1 always; store length-1 for tighter bit width
             "l": _enc_for(lengths - 1),
         },
@@ -185,8 +193,8 @@ def _enc_dict(arr: np.ndarray) -> dict:
         "dict",
         {"dt": arr.dtype.str, "n": len(arr)},
         k={
-            "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
-            "values": _best_int(uniq, allow_dict=False, allow_rle=False, allow_vtop=False),
+            "codes": _child(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
+            "values": _child(uniq, allow_dict=False, allow_rle=False, allow_vtop=False),
         },
     )
 
@@ -318,7 +326,7 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
     ext = pc.filter(arr_pa, esc_mask).to_numpy(
         zero_copy_only=True
     )  # native-width gather of the escaped minority
-    k = {"values": _best_int(top, allow_dict=False)}
+    k = {"values": _child(top, allow_dict=False)}
     tail = uniq[order[_VTOP_ESC:]]
     if tail_fits and len(tail):
         # the sample is the whole array, so the tail is exact: with at
@@ -327,7 +335,7 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
         rank = np.zeros(hi + 1, dtype=np.uint8)
         rank[tail] = np.arange(len(tail), dtype=np.uint8)
         ext = rank[ext]
-        k["tail"] = _best_int(tail.astype(np.int64), allow_dict=False)
+        k["tail"] = _child(tail.astype(np.int64), allow_dict=False)
         ew = 1
     else:
         if lo:
@@ -405,11 +413,12 @@ def _est_z(enc: dict) -> float:
     """Estimated *post-container* size: the container zstd-compresses each
     payload, so codec selection must score compressed bytes, not raw bytes
     (bp+zstd routinely beats dict pre-zstd).  Large payloads are estimated
-    from a compressed prefix.  The estimate is kept on the node under
-    ``z`` (a node is not changed once built, and a candidate is often
-    scored more than once, its children again as parts of their parent);
-    the block header copies only the codec fields, so ``z`` never reaches
-    it.
+    from a compressed prefix.  The estimate of a node's own payloads is
+    kept on it under ``z`` (its payloads never change once built, and a
+    candidate is often scored more than once, its children again as parts
+    of their parent); its children are summed on each call, since
+    ``_finish`` replaces a winner's stand-in children.  The block header
+    copies only the codec fields, so ``z`` never reaches it.
 
     The prefix estimate runs low on large payloads whose redundancy spans
     more than the prefix can see.  sf0.1 ``l_extendedprice`` as ``fplain``
@@ -422,39 +431,123 @@ def _est_z(enc: dict) -> float:
     bytes: ``fdec`` ties ``fdict`` within 0.04% on sf0.1 ``l_discount``
     and ``l_tax``, and the codec census (tools/codec_census.py) judges
     such ties."""
-    if "z" in enc:
-        return enc["z"]
-    _zstd1 = zstd_lazy.get()
-    total = 0.0
-    for p in enc["p"]:
-        n = len(p)
-        if n < 128:
-            total += n
-        else:
-            pref = p if n <= (1 << 18) else p[: 1 << 18]
-            ratio = len(_zstd1.compress(pref, asbytes=True)) / len(pref)
-            total += min(1.0, ratio) * n
+    total = enc.get("z")
+    if total is None:
+        _zstd1 = zstd_lazy.get()
+        total = 0.0
+        for p in enc["p"]:
+            n = len(p)
+            if n < 128:
+                total += n
+            else:
+                pref = p if n <= (1 << 18) else p[: 1 << 18]
+                WORK["zstd"] += 1
+                ratio = len(_zstd1.compress(pref, asbytes=True)) / len(pref)
+                total += min(1.0, ratio) * n
+        enc["z"] = total
     for ch in enc["k"].values():
         total += _est_z(ch)
-    enc["z"] = total
     return total
 
 
+# ------------------------------------------------------ deferred children ----
+# A composite codec (rle, dict, vtop, fdict, fdec; pbytes, dbytes and fsst in
+# the bytes layer) takes each int child through ``_child``.  While a selector
+# scores its trials (``_trials``), the child is a stand-in: the lowest
+# estimate of a few flat codecs, with no nested selection, its input kept
+# under ``d``.  Once the selector has picked, ``_finish`` runs the full
+# selection on the winner's stand-ins only, so a losing composite never
+# pays for its children's selection (BtrBlocks, SIGMOD 2023, likewise
+# recurses only into the scheme it picked).  Every full-array build and every
+# deciding comparison is made outside trial mode, on finished trees.  The
+# mode is module state: a process encodes one column at a time.
+
+_TRIAL = False
+
+
+@contextlib.contextmanager
+def _trials():
+    global _TRIAL
+    prev, _TRIAL = _TRIAL, True
+    try:
+        yield
+    finally:
+        _TRIAL = prev
+
+
+def _child(arr: np.ndarray, allow_rle: bool = True, allow_dict: bool = True,
+           allow_vtop: bool = True) -> dict:
+    """``_best_int(arr, ...)``, or in trial mode the stand-in: ``for``,
+    ``bps`` or ``delta``, or ``rle`` where at least half the rows repeat
+    their neighbour, whichever estimates lowest.  Without rle the stand-in
+    scores a run-length child too high: ``documents.source`` of the bench
+    tables, sf0.001 and sf0.01 lost ``pbytes(len=rle)`` and grew 68-214 B.
+    Where fewer rows repeat, rle's values child is most of the array;
+    leaving rle out there picks the same blocks over the codec census and
+    cuts a token block's selection work by 8%.  The stand-in keeps every
+    trial, so that finishing it does not build or score them again."""
+    flags = {"allow_rle": allow_rle, "allow_dict": allow_dict, "allow_vtop": allow_vtop}
+    if not _TRIAL:
+        return _best_int(arr, **flags)
+    fns = [_enc_for, _enc_bps, _enc_delta]
+    if allow_rle and 2 * int(np.count_nonzero(arr[1:] != arr[:-1])) < len(arr):
+        fns.append(_enc_rle)
+    built = {fn: fn(arr) for fn in fns}
+    best = min((e for e in built.values() if e is not None), key=_est_z)
+    return dict(best, d=(arr, flags, built))
+
+
+def _finish(enc: dict) -> dict:
+    """``enc`` with every stand-in in it replaced by the full-array pick of
+    its input (``_pick``: ``_best_int`` on arrays of at most 4 * SAMPLE,
+    the only arrays trials run on).  A node's ``z`` covers its own
+    payloads only, so no estimate goes stale."""
+    for name, ch in enc["k"].items():
+        if "d" in ch:
+            arr, flags, built = ch["d"]
+            enc["k"][name] = _pick(_candidates(**flags), arr, built)
+        else:
+            _finish(ch)
+    return enc
+
+
 def _undominated(cands: list, arr: np.ndarray) -> list:
-    """Drop the trials that can at most tie an earlier candidate on
-    ``arr`` (the pick keeps the first of equal scores, so it is unchanged):
-    ``for`` when the int64 view's min is 0, where its payload is ``bp``'s
-    byte for byte (uint64 values >= 2^63 view negative, so they keep it);
-    ``rle`` when no element equals its neighbour, where its values child
-    is ``arr`` itself over codecs tried before it and its all-zero lengths
-    pack to nothing."""
-    if not len(arr):
+    """Drop the trials that cannot win on ``arr``.  Two can at most tie an
+    earlier candidate (the pick keeps the first of equal scores): ``for``
+    when the int64 view's min is 0, where its payload is ``bp``'s byte for
+    byte (uint64 values >= 2^63 view negative, so they keep it), and
+    ``rle`` when no element equals its neighbour, where its values child is
+    ``arr`` itself and its all-zero lengths pack to nothing.  Two cannot
+    beat FoR's raw size, n values of w = bit width of (max - min), from the
+    counts of ``arr``'s d distinct values: ``dict`` when
+    n * ceil(log2 d) + d * w >= n * w, and on arrays of at most 4 * SAMPLE
+    ``vtop`` when its 255 most frequent values cover under half the rows
+    (each escape costs a rank byte plus its raw value).
+
+    ``rle`` keeps its trial whenever some neighbours repeat: a raw-size
+    bound (runs * (w + 1) >= n * w) would drop it where it wins after
+    zstd.  On sf0.1 ``o_orderdate`` the dict codes' sample has 8,188 runs
+    in 8,192 rows, and ``rle(v=bps)`` still estimates 61 B under ``bps``;
+    without the trial the column grew 424 B."""
+    n = len(arr)
+    if not n:
         return cands
     skip = set()
     if arr.astype(np.int64, copy=False).min() == 0:
         skip.add(_enc_for)
     if not (arr[1:] == arr[:-1]).any():
         skip.add(_enc_rle)
+    vtop = _enc_vtop in cands and 1024 <= n <= 4 * SAMPLE
+    if _enc_dict in cands or vtop:
+        counts = np.unique(arr, return_counts=True)[1]
+        d = len(counts)
+        w = bitpack.bit_width(int(arr.max()) - int(arr.min()))
+        if n * (d - 1).bit_length() + d * w >= n * w:
+            skip.add(_enc_dict)
+        if vtop and d > _VTOP_ESC:
+            top = np.partition(counts, d - _VTOP_ESC)[-_VTOP_ESC:]
+            if 2 * int(top.sum()) < n:
+                skip.add(_enc_vtop)
     return [fn for fn in cands if fn not in skip]
 
 
@@ -502,8 +595,19 @@ def _best_int(
 
 def _min_full(cands: list, arr: np.ndarray) -> dict:
     """The first minimum over every candidate encoded on the full array."""
-    encs = [e for e in (fn(arr) for fn in _undominated(cands, arr)) if e is not None]
-    return min(encs, key=_est_z)
+    return _pick(cands, arr, {})
+
+
+def _pick(cands: list, arr: np.ndarray, built: dict) -> dict:
+    """``_min_full``, taking the encodings in ``built`` (codec function ->
+    node) instead of building them again."""
+    with _trials():
+        # a generator: each loser is freed once scored, not held while the
+        # winner's children are finished
+        best = min((e for e in (built[fn] if fn in built else fn(arr)
+                                for fn in _undominated(cands, arr)) if e is not None),
+                   key=_est_z)
+    return _finish(best)
 
 
 def _sampled_pick(arr: np.ndarray, sample: np.ndarray, cands: list,
@@ -517,12 +621,14 @@ def _sampled_pick(arr: np.ndarray, sample: np.ndarray, cands: list,
     # under bps.  It takes the explicit full-array trial below instead.
     cands = [fn for fn in cands if fn is not _enc_vtop]
     scored = []
-    for ci, enc_fn in enumerate(_undominated(cands, sample)):
-        e = enc_fn(sample)
-        if e is not None:
-            # tie-break on candidate ORDER (deterministic across
-            # processes — id() would break byte-identical resume)
-            scored.append((_est_z(e), ci, enc_fn))
+    with _trials():
+        for ci, enc_fn in enumerate(_undominated(cands, sample)):
+            e = enc_fn(sample)
+            if e is not None:
+                # tie-break on candidate ORDER (deterministic across
+                # processes — id() would break byte-identical resume)
+                scored.append((_est_z(e), ci, enc_fn))
+        e = None  # the last trial is not kept through the full-array builds
     scored.sort(key=lambda t: (t[0], t[1]))
     score, _, best_fn = scored[0]
     if allow_vtop and best_fn in (_enc_bitpack, _enc_bps, _enc_for):
@@ -598,7 +704,7 @@ def _enc_fdict(arr: np.ndarray) -> dict:
         "fdict",
         {"dt": arr.dtype.str, "n": len(arr)},
         k={
-            "codes": _best_int(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
+            "codes": _child(codes.astype(np.int64), allow_dict=False, allow_vtop=False),
             "values": _enc_plain(uniq),
         },
     )
@@ -678,10 +784,10 @@ def _enc_fdec(arr: np.ndarray, e: int) -> dict | None:
     m = {"dt": arr.dtype.str, "n": len(arr), "e": e}
     miss = np.flatnonzero(~exact)
     if not len(miss):
-        return _node("fdec", m, k={"k": _best_int(kf.astype(np.int64))})
+        return _node("fdec", m, k={"k": _child(kf.astype(np.int64))})
     k = np.where(exact, kf, kf[first]).astype(np.int64)
     raw = np.ascontiguousarray(arr[miss]).view(np.uint8)
-    return _node("fdec", m, [raw], k={"k": _best_int(k), "x": _best_int(miss.astype(np.int64))})
+    return _node("fdec", m, [raw], k={"k": _child(k), "x": _child(miss.astype(np.int64))})
 
 
 def _dec_fdec(enc: dict) -> np.ndarray:
@@ -704,8 +810,9 @@ def encode_float_auto(arr: np.ndarray) -> dict:
     beats its estimate twice: on a screen prefix, then on the full array,
     where ``fdec`` must come in strictly under the other pick's full-array
     estimate, header bytes included (``_est_z`` says why an estimate tie
-    must not flip).  Arrays of at most 16 values take no dict or ``fdec``
-    trial."""
+    must not flip).  Only the screen scores stand-in children (``_child``);
+    every full-array build is finished before it is compared.  Arrays of
+    at most 16 values take no dict or ``fdec`` trial."""
     n = len(arr)
     sample = arr[: 4 * SAMPLE] if n > 4 * SAMPLE else arr
     best = None
@@ -735,7 +842,8 @@ def encode_float_auto(arr: np.ndarray) -> dict:
         # full-array build of a column over 4 * SAMPLE rows.  Up to
         # 2 * SAMPLE rows a losing full build costs at most two screens,
         # and a winning one saves the screen.
-        trial = _enc_fdec(arr[:SAMPLE], e)
+        with _trials():
+            trial = _enc_fdec(arr[:SAMPLE], e)
         if trial is None or _est_z(trial) * (n / SAMPLE) >= est:
             return best
     dec = _enc_fdec(arr, e)

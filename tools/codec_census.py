@@ -1,8 +1,10 @@
 """Codec census: encode a fixed corpus block by block and record, per input,
 its encoded bytes, each top-level column's bytes (summed over the input's
 blocks, see ``_column_bytes``), a digest of its blocks, encode seconds
-(per block the median of ``ENCODES`` encodes) and decode seconds, and how
-often each codec wins at any depth of the column codec trees.  Every
+(per block the median of ``ENCODES`` encodes), its selection work (codec
+nodes built plus ``_est_z`` compressions in one encode of each block, an
+exact count where ``encode_s`` is noisy) and decode seconds, and how often
+each codec wins at any depth of the column codec trees.  Every
 decode is checked bit-identical (NaN-aware) against its source.
 
 The corpus:
@@ -19,9 +21,11 @@ Usage, from the root of a checkout (tokcodec is imported from there):
     python tools/codec_census.py compare BEFORE.json AFTER.json
 
 ``compare`` prints markdown tables, including each input's encode seconds
-before and after and every column whose bytes changed, and exits 1 when
-an input or a column grew or a decode was not bit-identical.  Block
-digests skip the format magic, so a version bump alone keeps them equal.
+and selection work before and after and every column whose bytes changed,
+and exits 1 when an input or a column grew or a decode was not
+bit-identical.  Block digests skip the format magic, so a version bump
+alone keeps them equal.  A checkout older than the work counter records
+no work, and ``compare`` prints "-" for it.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ import fixtures  # noqa: E402
 
 from tokcodec import blocks  # noqa: E402
 from tokcodec.cli import tables_bit_identical  # noqa: E402
+from tokcodec.codecs import intcodecs  # noqa: E402
 from tokcodec.pipelines import encode as pipe  # noqa: E402
 
 SEED = 101
+WORK = getattr(intcodecs, "WORK", {})  # selection-work counter; empty where a checkout lacks it
 ENCODES = 3  # encode_s of a block is the median of this many encodes
 
 
@@ -86,14 +92,18 @@ def _column_bytes(header: dict) -> dict[str, int]:
 def _census(tables, wins: collections.Counter) -> dict:
     digest = hashlib.sha256()
     nbytes = enc_s = dec_s = 0.0
+    work = 0
     identical = True
     columns = collections.Counter()
     for t in tables:
         times = []
-        for _ in range(ENCODES):
+        for i in range(ENCODES):
+            w0 = sum(WORK.values())
             t0 = time.perf_counter()
             blob = blocks.encode_table(t)
             times.append(time.perf_counter() - t0)
+            if i == 0:
+                work += sum(WORK.values()) - w0
         enc_s += statistics.median(times)
         t0 = time.perf_counter()
         back, _ = blocks.decode_table(blob)
@@ -105,9 +115,12 @@ def _census(tables, wins: collections.Counter) -> dict:
         for c in header["columns"]:
             _codecs(c["enc"], wins)
         columns.update(_column_bytes(header))
-    return {"bytes": int(nbytes), "blocks": len(tables), "digest": digest.hexdigest()[:16],
-            "encode_s": round(enc_s, 4), "decode_s": round(dec_s, 4), "identical": identical,
-            "columns": dict(columns)}
+    out = {"bytes": int(nbytes), "blocks": len(tables), "digest": digest.hexdigest()[:16],
+           "encode_s": round(enc_s, 4), "decode_s": round(dec_s, 4), "identical": identical,
+           "columns": dict(columns)}
+    if WORK:
+        out["work"] = work
+    return out
 
 
 def _planned(plan: dict):
@@ -141,15 +154,16 @@ def compare(before_path: str, after_path: str) -> int:
         b = json.load(f)
     bad = 0
     print("| input | before B | after B | delta B | blocks identical | decode identical "
-          "| before encode_s | after encode_s |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| before encode_s | after encode_s | before work | after work |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for name, x in a["inputs"].items():
         y = b["inputs"][name]
         d = y["bytes"] - x["bytes"]
         bad += d > 0 or not y["identical"]
         print(f"| {name} | {x['bytes']} | {y['bytes']} | {d:+d} | "
               f"{'yes' if x['digest'] == y['digest'] else 'no'} | {'yes' if y['identical'] else 'NO'} "
-              f"| {x['encode_s']:.4f} | {y['encode_s']:.4f} |")
+              f"| {x['encode_s']:.4f} | {y['encode_s']:.4f} | {x.get('work', '-')} "
+              f"| {y.get('work', '-')} |")
     print("\n| column | before B | after B | delta B | delta % |")
     print("|---|---|---|---|---|")
     for name, x in a["inputs"].items():
@@ -159,9 +173,10 @@ def compare(before_path: str, after_path: str) -> int:
             bad += d > 0
             if d:
                 print(f"| {name}.{col} | {xb} | {cols_b.get(col, 0)} | {d:+d} | {100 * d / xb:+.1f}% |")
-    for key in ("bytes", "encode_s", "decode_s"):
-        print(f"total {key}: {sum(v[key] for v in a['inputs'].values()):.4f} -> "
-              f"{sum(v[key] for v in b['inputs'].values()):.4f}")
+    for key in ("bytes", "encode_s", "work", "decode_s"):
+        before, after = (sum(v.get(key, math.nan) for v in side["inputs"].values())
+                         for side in (a, b))
+        print(f"total {key}: {before:.4f} -> {after:.4f}")
     names = sorted(set(a["codecs"]) | set(b["codecs"]))
     print("\n| codec | " + " | ".join(names) + " |")
     print("|---|" + "---|" * len(names))
