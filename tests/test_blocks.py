@@ -252,3 +252,29 @@ def test_null_slots_decode_what_encode_stored(kind):
         assert got.to_pylist() == want.to_pylist()
     if kind == "list":  # a null slot over a non-empty list keeps its values
         assert any(v and not ok for v, ok in zip(got.to_pylist(), pa.compute.is_valid(arr).to_pylist()))
+
+
+def test_sliced_columns_encode_as_their_copies():
+    """A table slice's single chunks are encoded where they lie, offsets
+    and all, to the block of a table built from offset-0 copies of them:
+    nullable ints and floats, bools, strings, lists, structs, fixed-size
+    lists and dictionaries at an odd row offset."""
+    rng = np.random.default_rng(9)
+    n = 3001
+    valid = rng.random(n) > 0.1
+    t = pa.table({
+        "i": pa.array(rng.integers(-50, 50, n), mask=~valid),
+        "f": pa.array(np.round(rng.random(n) * 100, 2), mask=valid),
+        "b": pa.array(rng.random(n) > 0.5),
+        "s": pa.array([f"k{v}" for v in rng.integers(0, 40, n)]),
+        "l": pa.array([list(range(v)) for v in rng.integers(0, 6, n)], pa.list_(pa.int32())),
+        "st": pa.array([{"a": int(v), "b": str(v)} for v in rng.integers(0, 9, n)]),
+        "fsl": pa.FixedSizeListArray.from_arrays(pa.array(rng.random(2 * n).astype(np.float32)), 2),
+        "d": pa.array([f"c{v}" for v in rng.integers(0, 5, n)]).dictionary_encode(),
+    }).slice(117, 2500)
+    copies = pa.table({name: t.column(name).combine_chunks() for name in t.column_names})
+    assert all(t.column(name).chunk(0).offset == 117 for name in t.column_names)
+    assert all(copies.column(name).chunk(0).offset == 0 for name in t.column_names)
+    blob = encode_table(t)
+    assert blob == encode_table(copies)
+    _assert_tables_equal(decode_table(blob)[0], copies)

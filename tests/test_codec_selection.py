@@ -6,7 +6,11 @@ column whose sample has seen its domain keeps a dict trial, which never
 grows a column against the pre-change selection kept here as the oracle.
 Composite trials score stand-in children that no finished tree keeps, the
 dict and vtop gates keep the trials that can pay, and ``bitpack.unpack``
-matches its bit-matrix path at every width."""
+and ``bitpack.pack`` match their bit-matrix paths at every width.  The
+vtop kernel (one-pass min/max, chunked count, array-sized count on small
+arrays) gives its oracle's bytes, the container's reuse of selection's
+compressions leaves every block as it was, the FSST screen keeps its
+verdicts, and dict stays the pick where its codes are bit-packed."""
 
 from __future__ import annotations
 
@@ -990,6 +994,23 @@ def test_unpack_matches_bit_matrix(bits, n, seed):
     assert np.array_equal(got.astype(np.uint64), vals)
 
 
+@pytest.mark.parametrize("bits", range(1, 65))
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(0, 5 * 64 + 9), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.uint64, np.int64]))
+def test_pack_windows_match_bit_matrix(bits, n, seed, dtype):
+    """Every width, windows used at any length: the packed bytes equal the
+    bit-matrix path's, values of a signed dtype included."""
+    rng = np.random.default_rng(seed)
+    vals = (rng.integers(0, 1 << 63, n, dtype=np.uint64) >> np.uint64(64 - bits)).astype(dtype)
+    with mock.patch.object(bitpack, "_PACK_WINDOW_MIN", 1 << 62):
+        ref = bitpack.pack(vals, bits)
+    with mock.patch.object(bitpack, "_PACK_WINDOW_MIN", 0):
+        got = bitpack.pack(vals, bits)
+    assert bytes(got) == bytes(ref)
+    assert np.array_equal(bitpack.unpack(got, bits, n).astype(dtype), vals)
+
+
 @pytest.mark.parametrize("bits", [3, 24, 56, 57, 63])
 def test_unpack_across_the_real_chunk(bits):
     rng = np.random.default_rng(bits)
@@ -997,3 +1018,217 @@ def test_unpack_across_the_real_chunk(bits):
     vals = rng.integers(0, 1 << bits, n, dtype=np.uint64)
     got = bitpack.unpack(bitpack.pack(vals, bits), bits, n)
     assert np.array_equal(got, vals)
+
+
+# ------------------------------------------ vtop kernel and small arrays ----
+
+
+_VTOP_LENGTHS = [0, 1, 1023, 1024, 1100, 4 * ic.SAMPLE, 4 * ic.SAMPLE + 1,
+                 ic._COUNT_CHUNK - 1, ic._COUNT_CHUNK, ic._COUNT_CHUNK + 1]
+
+
+@st.composite
+def _vtop_arrays(draw):
+    """Inputs for every branch of ``_enc_vtop``: under 1024 rows, the
+    small-array path (up to 4 * SAMPLE rows), the counted path around the
+    count chunk, at most 255 values (no escape), 256-511 values over a wide
+    span (the exact tail), zipf ids, a domain up to ``_VTOP_MAX`` (a count
+    chunk as wide as its bins), and negative or too large values (no
+    vtop), in signed and unsigned dtypes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.sampled_from(_VTOP_LENGTHS), st.integers(0, 3000),
+                       st.integers(4 * ic.SAMPLE + 1, 90_000)))
+    kind = draw(st.sampled_from(["zipf", "tail", "few", "wide", "negative", "over_max",
+                                 "constant"]))
+    if kind == "zipf":
+        arr = _zipf_tokens(rng, n)
+    elif kind == "tail":
+        arr = rng.choice(rng.choice(1 << 16, draw(st.integers(256, 511)), replace=False), n)
+    elif kind == "few":
+        arr = rng.choice(rng.choice(256, draw(st.integers(2, 255)), replace=False), n)
+    elif kind == "wide":
+        arr = np.where(rng.random(n) < 0.5, _zipf_tokens(rng, n), rng.integers(0, ic._VTOP_MAX, n))
+    elif kind == "negative":
+        arr = rng.integers(-3, 300, n)
+    elif kind == "over_max":
+        arr = rng.integers(0, ic._VTOP_MAX + 3, n)
+    else:
+        arr = np.full(n, draw(st.integers(0, 255)))
+    dtypes = [np.int32, np.int64, np.uint32, np.uint64]
+    if len(arr) and 0 <= arr.min() and arr.max() < 256:
+        dtypes += [np.uint8, np.uint16]
+    return arr.astype(draw(st.sampled_from(dtypes)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(arr=_vtop_arrays())
+def test_vtop_matches_oracle(arr):
+    """The one-pass min/max, the chunked count, the numpy escape mask and
+    the array-sized count of small arrays give today's bytes."""
+    assert _enc_bytes(ic._enc_vtop(arr)) == _enc_bytes(_oracle_enc_vtop(arr))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+def test_vtop_over_the_count_sample_matches_oracle(dtype):
+    """Past ``_VTOP_SAMPLE`` rows only the prefix is counted; the column's
+    largest value sits after it."""
+    rng = np.random.default_rng(43)
+    arr = _zipf_tokens(rng, ic._VTOP_SAMPLE + ic._COUNT_CHUNK + 1)
+    arr[-1] = 60_000
+    arr = arr.astype(dtype)
+    assert arr[:ic._VTOP_SAMPLE].max() < arr.max()
+    assert _enc_bytes(ic._enc_vtop(arr)) == _enc_bytes(_oracle_enc_vtop(arr))
+
+
+@pytest.mark.parametrize("bins", [1, 300, ic._COUNT_CHUNK, ic._COUNT_CHUNK + 5])
+@pytest.mark.parametrize("n", [0, 1, ic._COUNT_CHUNK - 1, ic._COUNT_CHUNK, ic._COUNT_CHUNK + 1,
+                               3 * ic._COUNT_CHUNK + 7])
+def test_count_matches_bincount(n, bins):
+    samp = np.random.default_rng(n + bins).integers(0, bins, n).astype(np.uint64)
+    got = ic._count(samp, bins)
+    assert got.dtype == np.intp and np.array_equal(got, np.bincount(samp.astype(np.int64),
+                                                                    minlength=bins))
+
+
+# ------------------------------------ container reuses selection's zstd ----
+
+
+def _strip_zc(enc: dict) -> dict:
+    return dict({k: v for k, v in enc.items() if k != "zc"},
+                k={name: _strip_zc(ch) for name, ch in enc["k"].items()})
+
+
+class _CountingZstd:
+    """``zstd_lazy`` for the container, counting its compress calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self._c = pa.Codec("zstd")
+
+    def get(self):
+        return self
+
+    def compress(self, data, asbytes=False):
+        self.calls += 1
+        return self._c.compress(data, asbytes=asbytes)
+
+
+def _container_block(t: pa.Table, reuse: bool, monkeypatch) -> tuple[bytes, int]:
+    """``t``'s block and the container's compress calls, with or without
+    the compressions that selection left on the codec nodes."""
+    spy = _CountingZstd()
+    with monkeypatch.context() as m:
+        m.setattr(blocks, "zstd_lazy", spy)
+        if not reuse:
+            real = blocks._flatten
+            m.setattr(blocks, "_flatten", lambda enc, segments: real(_strip_zc(enc), segments))
+        return encode_table(t), spy.calls
+
+
+def _bench_tables(tmp_path) -> dict:
+    """The benchmark's four mixed-type tables (TPC-H-like lineitem and
+    orders, events, documents), each cut into its planned blocks."""
+    import math
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import fixtures
+
+    from tokcodec.pipelines import encode as pipe
+
+    out = {}
+    for name, v in fixtures.write_tables(str(tmp_path), 101).items():
+        plan = pipe.plan_partitions(v["path"], math.ceil(v["rows"] / fixtures.TABLE_BLOCKS),
+                                    token_col=None, parallel=False)
+        out[name] = [pipe._read_rows(s["file"], int(s["row_start"]), int(s["row_end"]), None)
+                     for s in plan["partitions"]]
+    return out
+
+
+def test_container_reuse_keeps_every_block(tmp_path, monkeypatch):
+    """Blocks are byte-identical whether the container compresses every
+    segment or takes the bytes selection compressed whole, and it
+    compresses less when it takes them."""
+    inputs = {"tokens": [_token_block0()], **_bench_tables(tmp_path),
+              "composite": [pa.table({name: arr}) for name, arr in
+                            _composite_columns(np.random.default_rng(47)).items()]}
+    for name, tables in inputs.items():
+        for t in tables:
+            with_reuse, fewer = _container_block(t, True, monkeypatch)
+            without, calls = _container_block(t, False, monkeypatch)
+            assert with_reuse == without, name
+            assert fewer < calls, name
+
+
+def test_container_compresses_only_what_selection_did_not():
+    """On a token block the container compresses only the rank stream
+    (1 MB, over what ``_est_z`` compresses whole): its 64 KB probe, then
+    the stream."""
+    t = _token_block0()
+    spy = _CountingZstd()
+    with mock.patch.object(blocks, "zstd_lazy", spy):
+        timings = {}
+        encode_table(t, timings=timings)
+    assert spy.calls == 2 and timings["zstd_s"] > 0
+
+
+# ------------------------------------------------- FSST screen verdicts ----
+
+
+def _screened(monkeypatch, encode) -> list[pa.Array]:
+    """Every input of ``_fsst_trial`` while ``encode`` runs."""
+    seen = []
+    real = bc._fsst_trial
+
+    def record(arr):
+        seen.append(arr)
+        return real(arr)
+
+    with monkeypatch.context() as m:
+        m.setattr(bc, "_fsst_trial", record)
+        encode()
+    return seen
+
+
+def test_fsst_screen_verdicts_unchanged(tmp_path, monkeypatch):
+    """Each FSST trial input of the token fixture's first blocks, the
+    benchmark tables and TPC-H-like names passes the screen exactly when
+    it does with the sequential table builder: doc ids, names and event
+    props lose, document text wins."""
+    tok = make_table(2000, seed=101)
+    names = pa.table({"c_name": [f"Customer#{i:09d}" for i in range(1500)],
+                      "s_name": [f"Supplier#{i:09d}" for i in range(1000)] + [""] * 500})
+    tables = [tok.slice(0, 1130), tok.slice(1130), names]
+    tables += [t for ts in _bench_tables(tmp_path).values() for t in ts]
+    inputs = _screened(monkeypatch, lambda: [encode_table(t) for t in tables])
+    new = [bc._fsst_trial(a) is not None for a in inputs]
+    monkeypatch.setattr(fsst, "_build_table", _sequential_build_table)
+    assert [bc._fsst_trial(a) is not None for a in inputs] == new
+    verdicts = {}
+    for a, passed in zip(inputs, new):
+        first = a[0].as_py()
+        kind = ("doc_id" if "-doc" in first else "name" if "#" in first
+                else "props" if first.startswith("{") else "text" if len(first) > 40 else None)
+        if kind and arr_to_np(a)[0].sum() > bc.SCREEN_MIN:
+            verdicts.setdefault(kind, set()).add(passed)
+    assert verdicts == {"doc_id": {False}, "name": {False}, "props": {False}, "text": {True}}
+
+
+# -------------------------------------------- dict where it wins today ----
+
+
+@pytest.mark.parametrize("d, n", [(300, 100_000), (1000, 30_000), (1500, 200_000)])
+def test_dict_kept_where_its_codes_are_bit_packed(d, n):
+    """Rows drawn evenly from d values spread over 16 bits: dict codes need
+    ceil(log2 d) = 9-11 bits, packed below the values' two whole bytes, and
+    dict is the pick.  A rule dropping the dict trial whenever its codes
+    need as many whole bytes as the values (ceil(log2 d) > 8 * (ceil(w / 8)
+    - 1)) would leave a pick whose estimate is up to 1.5x dict's."""
+    rng = np.random.default_rng(d)
+    arr = rng.choice(rng.choice(1 << 16, d, replace=False), n).astype(np.int64)
+    w = bitpack.bit_width(int(arr.max() - arr.min()))
+    assert (d - 1).bit_length() > 8 * (-(-w // 8) - 1)
+    got = ic._best_int(arr)
+    assert got["c"] == "dict" and _decodes(got, arr)
+    assert ic._est_z(got) < min(ic._est_z(fn(arr)) for fn in (ic._enc_bps, ic._enc_for))

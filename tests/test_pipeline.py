@@ -140,6 +140,32 @@ def test_resume_tolerates_manifest_without_metrics(encoded, tmp_path):
     assert all(m["resumed"] for m in res["metrics"])
 
 
+def test_manifests_record_container_zstd_and_write_times(encoded, tmp_path):
+    """Every encoded partition's manifest and returned metrics carry
+    ``zstd_s`` (the container's compress pass) and ``write_s`` (the block's
+    fsync'd write plus its sha256); a manifest written before them resumes
+    with both unknown."""
+    import json
+
+    src, out, _ = encoded
+    out2 = str(tmp_path / "enc_times")
+    res = encode_dataset(src, out2, target_tokens=TARGET)
+    for m in res["metrics"]:
+        man = json.load(open(os.path.join(out2, f"part-{m['pid']:05d}.manifest.json")))
+        assert man["metrics"] == m
+        assert 0 <= m["zstd_s"] <= m["encode_s"] and m["write_s"] >= 0
+    mp = os.path.join(out2, "part-00000.manifest.json")
+    man = json.load(open(mp))
+    for key in ("zstd_s", "write_s"):
+        del man["metrics"][key]
+    with open(mp, "w") as f:
+        json.dump(man, f)
+    res = encode_dataset(src, out2, target_tokens=TARGET)
+    m0 = next(m for m in res["metrics"] if m["pid"] == 0)
+    assert m0["resumed"] and m0["zstd_s"] is None and m0["write_s"] is None
+    assert m0["rows"] is not None and all(m["resumed"] for m in res["metrics"])
+
+
 def test_encode_dataset_tuple_concurrency_on_tasks(fixture_parquet, tmp_path,
                                                    ray_session, monkeypatch):
     """The documented (min, max) concurrency caps the encode tasks at

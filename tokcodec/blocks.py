@@ -10,13 +10,16 @@ dictionaries / FSST symbol tables live inside it (SURVEY.md §3.4).
 An optional zstd entropy pass is applied per payload segment when it
 shrinks it; the codec trees stay lightweight and the pass is recorded in
 the segment table (``raw`` > 0), mirroring Parquet's encoding-then-
-compression page layering.
+compression page layering.  A payload that codec selection already
+compressed whole with the same codec is not compressed again: the
+container takes the bytes left on its node.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -295,12 +298,15 @@ def decode_array(enc: dict, t: pa.DataType) -> pa.Array:
 # --------------------------------------------------------------- container ----
 
 
-def _flatten(enc: dict, segments: list[bytes]) -> dict:
+def _flatten(enc: dict, segments: list[tuple]) -> dict:
+    """The header entry of a codec tree; its payloads go to ``segments``,
+    each with the zstd bytes selection left on its node (None where it
+    compressed no whole payload)."""
     out = {"c": enc["c"], "m": enc["m"]}
     ids = []
-    for p in enc["p"]:
+    for p, zc in zip(enc["p"], enc.get("zc") or [None] * len(enc["p"])):
         ids.append(len(segments))
-        segments.append(p)
+        segments.append((p, zc))
     out["ps"] = ids
     out["k"] = {name: _flatten(ch, segments) for name, ch in enc["k"].items()}
     return out
@@ -454,7 +460,12 @@ def encode_table(
     meta: dict | None = None,
     zstd: bool = True,
     bloom_cols: list[str] | None = None,
+    timings: dict | None = None,
 ) -> bytes:
+    """One block of ``table``.  A payload that codec selection compressed
+    whole takes those bytes (``intcodecs._est_z``); the container
+    compresses the others.  ``timings``, when given, receives ``zstd_s``:
+    the seconds of the container's zstd pass."""
     table = table.combine_chunks()
     if len(set(table.column_names)) != len(table.column_names):
         dup = sorted({n for n in table.column_names if table.column_names.count(n) > 1})
@@ -471,7 +482,13 @@ def encode_table(
     cols = []
     for name in table.column_names:
         col = table.column(name)
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        # the one chunk the table's combine_chunks leaves is taken as it
+        # is: ChunkedArray.combine_chunks copies even a single chunk (0.8 ms
+        # for the list column of a 1 M-token block)
+        if col.num_chunks == 1:
+            arr = col.chunk(0)
+        else:
+            arr = col.combine_chunks()
         if isinstance(arr, pa.ChunkedArray):  # zero chunks edge case
             arr = pa.concat_arrays(arr.chunks) if arr.num_chunks else pa.nulls(0, arr.type)
         spec = {"name": name, "enc": _flatten(encode_array(arr), segments)}
@@ -491,22 +508,26 @@ def encode_table(
     seg_table = []
     payloads = []
     off = 0
-    for p in segments:
+    t0 = time.perf_counter()
+    for p, c in segments:
         raw = 0
         if zstd and len(p) >= _ZSTD_MIN:
-            z = zstd_lazy.get()
-            skip = False
-            if len(p) >= _ZSTD_PROBE_MIN:
-                pref = p[:_ZSTD_PROBE_BYTES]
-                skip = len(z.compress(pref, asbytes=True)) > len(pref) * 0.96
-            if not skip:
-                c = z.compress(p, asbytes=True)
-                if len(c) < len(p) * 0.98:
-                    raw = len(p)
-                    p = c
+            if c is None:
+                z = zstd_lazy.get()
+                skip = False
+                if len(p) >= _ZSTD_PROBE_MIN:
+                    pref = p[:_ZSTD_PROBE_BYTES]
+                    skip = len(z.compress(pref, asbytes=True)) > len(pref) * 0.96
+                if not skip:
+                    c = z.compress(p, asbytes=True)
+            if c is not None and len(c) < len(p) * 0.98:
+                raw = len(p)
+                p = c
         seg_table.append({"o": off, "l": len(p), "raw": raw})
         payloads.append(p)
         off += len(p)
+    if timings is not None:
+        timings["zstd_s"] = time.perf_counter() - t0
     header = {
         "n_rows": table.num_rows,
         "schema": base64.b64encode(table.schema.serialize().to_pybytes()).decode(),

@@ -38,36 +38,46 @@ MIN_PAIR = 4  # the table build merges a byte pair seen at least this often
 # ------------------------------------------------------------ table build ----
 
 
+_SEP = 511  # the code between strings: symbol codes stay below 510
+_SINGLES = [bytes([b]) for b in range(256)]
+
+
 def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
     """BPE-style merge on (lengths, data) sample → list of symbol byte
     strings (≤255 of them, each 1..8 bytes), most useful first."""
-    # seq: int32 codes with -1 separators between strings
-    n_strings = len(lengths)
-    total = int(lengths.sum())
-    seq = np.full(total + n_strings, -1, dtype=np.int32)
-    # positions for data bytes: offset by one separator per preceding string
-    within = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    pos = np.repeat(np.cumsum(lengths + 1) - (lengths + 1), lengths) + within
-    seq[pos] = data
-    sym_bytes: dict[int, bytes] = {b: bytes([b]) for b in range(256)}
+    # seq: int32 codes, each string followed by a _SEP separator
+    seq = np.full(int(lengths.sum()) + len(lengths), _SEP, dtype=np.int32)
+    is_data = np.ones(len(seq), dtype=bool)
+    is_data[np.cumsum(lengths + 1) - 1] = False
+    seq[is_data] = data
+    sym_bytes = list(_SINGLES)
+    # the separator's length makes every pair touching it too long to merge
     sym_len = np.ones(512, dtype=np.int64)
+    sym_len[_SEP] = MAX_SYM_LEN
     next_code = 256
     # Batched BPE: each round counts pairs ONCE, then applies up to 8
     # merges whose codes are mutually disjoint.  Disjointness makes the
     # stale counts exact (merging (a,b) can only change the count of a
     # pair sharing a or b), so the result matches what 8 sequential
-    # rounds with re-counting would pick — at 1/8th the np.unique +
-    # argsort cost, which dominated table build (~55 ms/partition).
+    # rounds with re-counting would pick — at 1/8th the counting cost,
+    # which dominated table build (~55 ms/partition).
     for _ in range(300):
         if next_code >= 256 + 254:
             break
-        # pair key a * 512 + b stays in int32 (codes < 510); a pair touching
-        # a -1 separator gets a key no valid pair has (negative, or a
-        # second code of 511)
+        # pair key a * 512 + b stays in int32 (codes <= 511)
         keys = seq[:-1] * 512 + seq[1:]
-        uniq, counts = np.unique(keys[(seq[:-1] >= 0) & (seq[1:] >= 0)], return_counts=True)
-        # candidates: seen >= MIN_PAIR times and merging to <= MAX_SYM_LEN bytes
-        ok = (counts >= MIN_PAIR) & (sym_len[uniq // 512] + sym_len[uniq % 512] <= MAX_SYM_LEN)
+        # candidates: seen >= MIN_PAIR times and merging to <= MAX_SYM_LEN
+        # bytes, never across a separator.  In sorted order a key seen c >=
+        # MIN_PAIR times equals the key MIN_PAIR - 1 places on at its first
+        # c - MIN_PAIR + 1 positions: runs of those give each key and count
+        srt = np.sort(keys)
+        frequent = srt[: 1 - MIN_PAIR][srt[MIN_PAIR - 1:] == srt[: 1 - MIN_PAIR]]
+        if not len(frequent):
+            break
+        starts = np.flatnonzero(np.concatenate(([True], frequent[1:] != frequent[:-1])))
+        uniq = frequent[starts]
+        counts = np.diff(np.append(starts, len(frequent))) + (MIN_PAIR - 1)
+        ok = sym_len[uniq >> 9] + sym_len[uniq & 511] <= MAX_SYM_LEN
         uniq, counts = uniq[ok], counts[ok]
         used: set[int] = set()
         accepted: list[tuple[int, int, int]] = []
@@ -95,23 +105,19 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
                     run_break = np.concatenate(([True], np.diff(p) > 1))
                     run_start = p[run_break][np.cumsum(run_break) - 1]
                     p = p[((p - run_start) % 2) == 0]
-            sym_bytes[next_code] = sym_bytes[ka] + sym_bytes[kb]
+            sym_bytes.append(sym_bytes[ka] + sym_bytes[kb])
             sym_len[next_code] = sym_len[ka] + sym_len[kb]
             seq[p] = next_code
             keep[p + 1] = False
             next_code += 1
         seq = seq[keep]
-    # final selection: rank by gain vs escape-everything baseline
-    cnt = np.bincount(seq[seq >= 0], minlength=next_code)
-    gains = []
-    for code in range(next_code):
-        c = int(cnt[code]) if code < len(cnt) else 0
-        if c == 0:
-            continue
-        L = len(sym_bytes[code])
-        gains.append((c * (2 * L - 1), code))
-    gains.sort(key=lambda t: (-t[0], t[1]))
-    return [sym_bytes[code] for _, code in gains[:MAX_SYMBOLS]]
+    # final selection: rank by gain vs escape-everything baseline, ties to
+    # the lower code
+    cnt = np.bincount(seq, minlength=512)[:next_code]
+    codes = np.flatnonzero(cnt)
+    gains = cnt[codes] * (2 * sym_len[codes] - 1)
+    best = codes[np.argsort(-gains, kind="stable")[:MAX_SYMBOLS]]
+    return [sym_bytes[code] for code in best.tolist()]
 
 
 def can_merge(data: np.ndarray) -> bool:
@@ -131,16 +137,15 @@ def can_merge(data: np.ndarray) -> bool:
 
 def _sym_keys(table: list[bytes]):
     """Per-length sorted uint64 keys + codes for longest-match lookup."""
+    grouped: dict[int, list[tuple[int, int]]] = {}
+    for i, s in enumerate(table):
+        grouped.setdefault(len(s), []).append((int.from_bytes(s, "little"), i))
     by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for L in range(1, MAX_SYM_LEN + 1):
-        pairs = [
-            (int.from_bytes(s, "little"), i) for i, s in enumerate(table) if len(s) == L
-        ]
-        if pairs:
-            pairs.sort()
-            keys = np.array([k for k, _ in pairs], dtype=np.uint64)
-            codes = np.array([c for _, c in pairs], dtype=np.uint8)
-            by_len[L] = (keys, codes)
+    for L, pairs in grouped.items():
+        pairs.sort()
+        keys = np.array([k for k, _ in pairs], dtype=np.uint64)
+        codes = np.array([c for _, c in pairs], dtype=np.uint8)
+        by_len[L] = (keys, codes)
     return by_len
 
 
@@ -172,9 +177,9 @@ def try_fsst(arr: pa.Array, table: list[bytes] | None = None) -> dict | None:
     # ---- longest-match per byte position
     pad = np.zeros(n_bytes + MAX_SYM_LEN, dtype=np.uint8)
     pad[:n_bytes] = data
-    key8 = np.zeros(n_bytes, dtype=np.uint64)
-    for i in range(MAX_SYM_LEN):
-        key8 |= pad[i : i + n_bytes].astype(np.uint64) << np.uint64(8 * i)
+    # the next 8 bytes at every position, little-endian: one overlapping
+    # uint64 view with a 1-byte stride over the zero-padded data
+    key8 = np.ndarray((n_bytes,), dtype="<u8", buffer=pad, strides=(1,))
     offsets = np.empty(n + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(lengths, out=offsets[1:])

@@ -271,6 +271,26 @@ def _by_count(counts: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-counts, kind="stable")
 
 
+_COUNT_CHUNK = 1 << 16
+
+
+def _count(samp: np.ndarray, bins: int) -> np.ndarray:
+    """``np.bincount(samp, minlength=bins)`` for values in [0, bins), counted
+    ``_COUNT_CHUNK`` values at a time: bincount casts its input to intp, and
+    a chunk's cast stays in cache where the whole sample's (8 MB on a
+    1 M-token block) does not.  A chunk holds at least ``bins`` values, so
+    zeroing and adding its counts never costs more than counting it."""
+    # bincount refuses uint64 (not safely castable to intp); the values are
+    # below _VTOP_MAX, so the int64 view reads the same numbers
+    if samp.dtype == np.uint64:
+        samp = samp.view(np.int64)
+    step = max(_COUNT_CHUNK, bins)
+    cnt = np.bincount(samp[:step], minlength=bins)
+    for i in range(step, len(samp), step):
+        cnt += np.bincount(samp[i:i + step], minlength=bins)
+    return cnt
+
+
 def _enc_vtop(arr: np.ndarray) -> dict | None:
     """Escape-coded top-value remap: the 255 most frequent values (counted
     on a deterministic 2M-row prefix; below that the whole array, so the
@@ -290,51 +310,66 @@ def _enc_vtop(arr: np.ndarray) -> dict | None:
     n = len(arr)
     if n < 1024:
         return None
-    lo = int(arr.min())
-    hi = int(arr.max())
+    small = n <= 4 * SAMPLE
+    if small:
+        lo, hi = int(arr.min()), int(arr.max())
+    else:
+        arr_pa = pa.array(np.ascontiguousarray(arr))
+        mm = pc.min_max(arr_pa)
+        lo, hi = mm["min"].as_py(), mm["max"].as_py()
     if lo < 0 or hi >= _VTOP_MAX:
         return None
-    samp = arr[:_VTOP_SAMPLE] if n > _VTOP_SAMPLE else arr
-    # bincount refuses uint64 (not safely castable to intp); values are
-    # already bounded by _VTOP_MAX, so an int64 view of the sample is safe
-    if samp.dtype == np.uint64:
-        samp = samp.astype(np.int64)
-    cnt = np.bincount(samp, minlength=hi + 1)
-    uniq = np.flatnonzero(cnt)
+    if small:
+        # bins sized to the array, not to its max: the ~1,100-value
+        # trials on token lengths and codes would zero, count and scan up
+        # to 2^22 bins, and stage their gathers through Arrow
+        uniq, inv, cnt = np.unique(arr, return_inverse=True, return_counts=True)
+    else:
+        cnt = _count(arr[:_VTOP_SAMPLE] if n > _VTOP_SAMPLE else arr, hi + 1)
+        uniq = np.flatnonzero(cnt)
+        cnt = cnt[uniq]
     if len(uniq) <= 1:
         return None  # constant column: rle/dict territory
     span = hi - lo
     # the tail branch below needs the exact order past the top set too
     tail_fits = n <= _VTOP_SAMPLE and len(uniq) <= 2 * _VTOP_ESC + 1 and span >= 256
-    order = _by_count(cnt[uniq], len(uniq) if tail_fits else _VTOP_ESC)
+    order = _by_count(cnt, len(uniq) if tail_fits else _VTOP_ESC)
     top = uniq[order[:_VTOP_ESC]].astype(np.int64)
-    lut8 = np.full(hi + 1, _VTOP_ESC, dtype=np.uint8)
-    lut8[top] = np.arange(len(top), dtype=np.uint8)
-    # Arrow kernels for the two O(n) passes: pc.take indexes the 256-entry
-    # LUT with the array's NATIVE dtype (numpy's lut8[arr] first stages an
-    # n*8-byte intp index buffer — pure memory traffic on a path that is
-    # bandwidth-bound at 32-way), and pc.filter streams the bit-packed
-    # mask once (np.compress re-materializes a byte mask).  Measured ~30%
-    # off both passes on 16M-token blocks; results are bit-identical.
-    arr_pa = pa.array(np.ascontiguousarray(arr))
-    b0_pa = pc.take(pa.array(lut8), arr_pa)
-    b0 = b0_pa.to_numpy(zero_copy_only=True)  # uint8, no nulls possible
-    # NB: the comparison scalar must be TYPED (uint8) — a bare Python int
-    # makes pc.equal promote the whole column and costs 16x (90ms vs 5.5ms
-    # on a 16M block)
-    esc_mask = pc.equal(b0_pa, pa.scalar(_VTOP_ESC, pa.uint8()))
-    ext = pc.filter(arr_pa, esc_mask).to_numpy(
-        zero_copy_only=True
-    )  # native-width gather of the escaped minority
-    k = {"values": _child(top, allow_dict=False)}
     tail = uniq[order[_VTOP_ESC:]]
+    if small:
+        # ranks by position in ``uniq``, gathered through the inverse
+        rank8 = np.full(len(uniq), _VTOP_ESC, dtype=np.uint8)
+        rank8[order[:_VTOP_ESC]] = np.arange(len(top), dtype=np.uint8)
+        b0 = rank8[inv]
+        esc = b0 == _VTOP_ESC
+        ext = arr[esc]
+    else:
+        lut8 = np.full(hi + 1, _VTOP_ESC, dtype=np.uint8)
+        lut8[top] = np.arange(len(top), dtype=np.uint8)
+        # Arrow kernels for the two O(n) passes: pc.take indexes the
+        # 256-entry LUT with the array's NATIVE dtype (numpy's lut8[arr]
+        # and lut8.take stage an intp index), and pc.filter streams the
+        # bit-packed mask once (numpy's boolean gather and np.flatnonzero
+        # plus a take each cost ~1.3-3x pc.filter on a 1 M-token block).
+        # The mask itself is numpy's byte compare, bit-packed: 0.2 ms on
+        # that block against 0.5-0.6 ms through pc.equal.
+        b0 = pc.take(pa.array(lut8), arr_pa).to_numpy(zero_copy_only=True)
+        bits = np.packbits(b0 == _VTOP_ESC, bitorder="little")
+        esc = pa.BooleanArray.from_buffers(pa.bool_(), n, [None, pa.py_buffer(bits)])
+        ext = pc.filter(arr_pa, esc).to_numpy(zero_copy_only=True)
+    k = {"values": _child(top, allow_dict=False)}
     if tail_fits and len(tail):
         # the sample is the whole array, so the tail is exact: with at
         # most 256 escaped values, one byte indexing the count-ordered
         # tail replaces two planes of raw offsets
-        rank = np.zeros(hi + 1, dtype=np.uint8)
-        rank[tail] = np.arange(len(tail), dtype=np.uint8)
-        ext = rank[ext]
+        if small:
+            rank = np.zeros(len(uniq), dtype=np.uint8)
+            rank[order[_VTOP_ESC:]] = np.arange(len(tail), dtype=np.uint8)
+            ext = rank[inv[esc]]
+        else:
+            rank = np.zeros(hi + 1, dtype=np.uint8)
+            rank[tail] = np.arange(len(tail), dtype=np.uint8)
+            ext = rank[ext]
         k["tail"] = _child(tail.astype(np.int64), allow_dict=False)
         ew = 1
     else:
@@ -430,21 +465,33 @@ def _est_z(enc: dict) -> float:
     must not flip on an estimate tie to a codec that is larger in real
     bytes: ``fdec`` ties ``fdict`` within 0.04% on sf0.1 ``l_discount``
     and ``l_tax``, and the codec census (tools/codec_census.py) judges
-    such ties."""
+    such ties.
+
+    A payload compressed whole (128 B to 256 KB) keeps its compressed
+    bytes on the node under ``zc`` (one entry per payload, None for the
+    others): the container compresses a segment with the same codec, so
+    ``blocks.encode_table`` takes them instead of compressing again."""
     total = enc.get("z")
     if total is None:
         _zstd1 = zstd_lazy.get()
         total = 0.0
+        packed = []
         for p in enc["p"]:
             n = len(p)
+            c = None
             if n < 128:
                 total += n
             else:
-                pref = p if n <= (1 << 18) else p[: 1 << 18]
+                whole = n <= (1 << 18)
+                pref = p if whole else p[: 1 << 18]
                 WORK["zstd"] += 1
-                ratio = len(_zstd1.compress(pref, asbytes=True)) / len(pref)
-                total += min(1.0, ratio) * n
+                z = _zstd1.compress(pref, asbytes=True)
+                total += min(1.0, len(z) / len(pref)) * n
+                if whole:
+                    c = z
+            packed.append(c)
         enc["z"] = total
+        enc["zc"] = packed
     for ch in enc["k"].values():
         total += _est_z(ch)
     return total

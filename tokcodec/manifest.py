@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from typing import Any
 
 
@@ -58,16 +59,22 @@ def write_partition(
     fp: str,
     codecs: dict | None = None,
 ) -> dict:
+    """Write the block file, then its manifest (both atomic and fsync'd).
+    The manifest's metrics are ``metrics`` plus ``write_s``: the seconds of
+    the block write and its sha256 (the manifest's own write cannot be in
+    the manifest)."""
+    t0 = time.monotonic()
     bp = block_path(out_dir, pid)
     atomic_write_bytes(bp, blob)
+    checksum = hashlib.sha256(blob).hexdigest()
     man = {
         "pid": pid,
         "fingerprint": fp,
         "block": os.path.basename(bp),
         "block_bytes": len(blob),
-        "checksum": hashlib.sha256(blob).hexdigest(),
+        "checksum": checksum,
         "lineage": lineage,
-        "metrics": metrics,
+        "metrics": dict(metrics, write_s=round(time.monotonic() - t0, 4)),
         # which codec won per column (SURVEY.md §7 step 3's
         # choice-recording requirement)
         "codecs": codecs or {},

@@ -328,8 +328,8 @@ def _read_slices(specs: list[dict], columns: list[str] | None) -> tuple[list[pa.
 
 
 _METRIC_KEYS = (
-    "pid", "rows", "n_tok", "bytes_in", "bytes_out", "read_s", "encode_s", "read_group",
-    "resumed",
+    "pid", "rows", "n_tok", "bytes_in", "bytes_out", "read_s", "encode_s", "zstd_s", "write_s",
+    "read_group", "resumed",
 )
 
 
@@ -406,9 +406,10 @@ class EncodeWorker:
             self.schema.validate_table(table)
         t0 = time.monotonic()
         lineage = _lineage(spec)
+        timings: dict = {}
         blob = encode_table(
             table, meta={"pid": pid, "lineage": lineage}, zstd=self.zstd,
-            bloom_cols=self.bloom_cols,
+            bloom_cols=self.bloom_cols, timings=timings,
         )
         t_enc = time.monotonic() - t0
         metrics = {
@@ -419,14 +420,15 @@ class EncodeWorker:
             "bytes_out": len(blob),
             "read_s": round(t_read, 4),
             "encode_s": round(t_enc, 4),
+            "zstd_s": round(timings["zstd_s"], 4),
             "read_group": read_group,
             "resumed": False,
         }
-        mf.write_partition(
+        man = mf.write_partition(
             self.out_dir, pid, blob, lineage, metrics, self.fp,
             codecs=codec_summary(read_header(blob)),
         )
-        return metrics
+        return man["metrics"]
 
 
 def _read_groups(specs: list[dict], slots: int) -> list[list[dict]]:
