@@ -20,6 +20,7 @@ WORKER_MODULES = [
     "tokcodec/projection.py",
     "tokcodec/predicate.py",
     "tokcodec/sources/datasource.py",
+    "tokcodec/pipelines/sidecar.py",
     "tokcodec/codecs/bitpack.py",
     "tokcodec/codecs/intcodecs.py",
     "tokcodec/codecs/bytescodecs.py",

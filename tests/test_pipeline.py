@@ -1,6 +1,5 @@
 """Ray pipeline tests: planned encode→decode round trip, skew-balanced
-partitioning, resume semantics, streaming variant (SURVEY.md §7 steps 1,
-5, 6)."""
+partitioning, resume semantics (SURVEY.md §7 steps 1, 5, 6)."""
 
 from __future__ import annotations
 
@@ -14,13 +13,7 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
-from tokcodec.pipelines import (
-    decode_dataset,
-    decode_stream,
-    encode_dataset,
-    encode_stream,
-    plan_partitions,
-)
+from tokcodec.pipelines import decode_dataset, encode_dataset, plan_partitions
 
 TARGET = 1_000_000
 
@@ -249,18 +242,6 @@ def test_column_projection_at_read(ray_session, fixture_parquet, tmp_path):
     )
     ds = decode_dataset(out)
     assert set(ds.schema().names) == {"doc_id", "n_tok"}
-
-
-def test_stream_round_trip(ray_session, fixture_parquet):
-    import ray.data
-
-    src = ray.data.read_parquet(fixture_parquet)
-    enc = encode_stream(src).materialize()
-    assert enc.count() >= 1
-    dec = decode_stream(enc)
-    assert dec.count() == pq.read_metadata(fixture_parquet).num_rows
-    total_out = sum(r["bytes_out"] for r in enc.take_all())
-    assert total_out <= os.path.getsize(fixture_parquet) * 1.2
 
 
 def _distributed(plan: dict) -> list[dict]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import pyarrow.parquet as pq
 import pytest
@@ -54,21 +55,6 @@ def test_sink_write_side_schema_validation(ray_session, tmp_path):
     out = str(tmp_path / "bad")
     with pytest.raises(Exception, match="doc_id"):
         ray.data.from_arrow(bad).write_datasink(TokbDatasink(out, schema=schema))
-
-
-def test_encode_stream_schema_validation(ray_session):
-    import pyarrow as pa
-    import ray.data
-
-    from tokcodec.pipelines import encode_stream
-    from tokcodec.schema import Schema, Type
-
-    schema = Schema.Builder().required("x", Type.INT64).named("t")
-    good = pa.table({"x": pa.array([1, 2, 3], pa.int64())})
-    assert encode_stream(ray.data.from_arrow(good), schema=schema).count() >= 1
-    bad = pa.table({"x": pa.array([1, None, 3], pa.int64())})
-    with pytest.raises(Exception, match="x"):
-        encode_stream(ray.data.from_arrow(bad), schema=schema).count()
 
 
 def test_encode_dataset_schema_validation(ray_session, tmp_path):
@@ -125,3 +111,101 @@ def test_read_tokb_raw_dir_uses_the_one_read_path(ray_session, tmp_path):
     pruned = read_tokb(raw, columns=["k"], predicate=col("k") >= bound)
     assert sorted(pruned.input_files()) == kept
     assert [r["k"] for r in pruned.take_all()] == [k for k in want if k >= bound]
+
+
+def test_sink_refuses_a_used_dir(ray_session, tmp_path):
+    """Block names key on executor task ids: a 2-way write over a 4-way
+    write would leave part-00002/part-00003 behind and read_tokb would
+    return 1,500 of the 1,000 rows written."""
+    import pyarrow as pa
+    import ray.data
+
+    from tokcodec.sources.sink import TokbDatasink, read_tokb
+
+    t = pa.table({"k": pa.array(range(1000), pa.int64())})
+    out = str(tmp_path / "sink")
+    ray.data.from_arrow(t).repartition(4).write_datasink(TokbDatasink(out))
+    blocks = sorted(n for n in os.listdir(out) if n.endswith(".tokb"))
+    assert len(blocks) == 4
+    with pytest.raises(ValueError, match="fresh directory"):
+        ray.data.from_arrow(t).repartition(2).write_datasink(TokbDatasink(out))
+    assert sorted(n for n in os.listdir(out) if n.endswith(".tokb")) == blocks
+    assert read_tokb(out).count() == 1000
+
+
+def test_sink_clears_stale_markers(ray_session, tmp_path):
+    import pyarrow as pa
+    import ray.data
+
+    from tokcodec.sources.sink import TokbDatasink, _read_summary
+
+    out = tmp_path / "sink"
+    out.mkdir()
+    (out / "_FAILED").write_text("an earlier run")
+    (out / "_SUCCESS").write_text("{}")
+    t = pa.table({"k": pa.array(range(100), pa.int64())})
+    ray.data.from_arrow(t).write_datasink(TokbDatasink(str(out)))
+    assert not (out / "_FAILED").exists()
+    assert _read_summary(str(out))["rows"] == 100
+
+
+@pytest.fixture
+def docs_sf(tmp_path, monkeypatch):
+    """A one-table scale-factor dir (documents) and catalog scratch dirs
+    under tmp_path."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from tokcodec.pipelines import queries
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    n = 3000
+    docs = pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array([f"w{i % 7} x{i % 13} y" for i in range(n)]),
+        "lang": pa.array(["en", "de", "fr"][i % 3] for i in range(n)),
+        "source": pa.array(["web", "book"][i % 2] for i in range(n)),
+        "n_chars": pa.array([len(f"w{i % 7} x{i % 13} y") for i in range(n)], pa.int64()),
+    })
+    pq.write_table(docs, str(sf / "documents.parquet"))
+
+    def scratch(tag, sf_dir):
+        path = tmp_path / "scratch" / tag
+        shutil.rmtree(path, ignore_errors=True)
+        path.mkdir(parents=True)
+        return str(path)
+
+    monkeypatch.setattr(queries, "_scratch_dir", scratch)
+    return str(sf), docs, tmp_path / "scratch"
+
+
+def test_encode_stats_rows_are_the_sink_manifests(ray_session, docs_sf):
+    from tokcodec import manifest as mf
+    from tokcodec.pipelines.queries import build_queries
+
+    sf, docs, scratch = docs_sf
+    got = build_queries()["encode_stats_documents"](sf)
+    assert got.column_names == ["rows", "bytes_in", "bytes_out"]
+    mans = mf.list_manifests(str(scratch / "stats_documents"))
+    assert len(mans) >= 2
+    assert got.to_pylist() == [
+        {"rows": m["rows"], "bytes_in": m["bytes_in"], "bytes_out": m["bytes_out"]}
+        for m in mans
+    ]
+    assert sum(got["rows"].to_pylist()) == docs.num_rows
+
+
+def test_catalog_roundtrip_reads_the_sink_through_read_tokb(ray_session, docs_sf):
+    import pyarrow as pa
+    import ray
+
+    from tokcodec.pipelines.queries import build_queries
+
+    sf, docs, scratch = docs_sf
+    cols = ["doc_id", "text", "lang", "source", "n_chars"]
+    ds = build_queries()["roundtrip_documents"](sf).materialize()
+    assert "ReadTOKB" in ds.stats() and "MapBatches" not in ds.stats()
+    assert os.listdir(scratch / "rt_documents")
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.sort_by("doc_id").select(cols).equals(docs.select(cols))

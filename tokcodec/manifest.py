@@ -128,6 +128,26 @@ def is_complete(out_dir: str, pid: int, fp: str, verify_checksum: bool = False) 
     return load_if_complete(out_dir, pid, fp, verify_checksum) is not None
 
 
+def claim_out_dir(out_dir: str, suffix: str) -> None:
+    """Ready `out_dir` for a streaming sink's write: refuse a dir that
+    already holds `suffix` files and clear an earlier run's _SUCCESS /
+    _FAILED marker.  Sink file names key on executor task ids (stable
+    only per execution), so a write over a used dir would leave the
+    earlier run's extra files in place and a reader would take both
+    with no error."""
+    os.makedirs(out_dir, exist_ok=True)
+    stale = [f for f in os.listdir(out_dir) if f.endswith(suffix)]
+    if stale:
+        raise ValueError(
+            f"{out_dir} already holds {len(stale)} {suffix} file(s) "
+            f"(e.g. {stale[0]}); write into a fresh directory"
+        )
+    for marker in ("_SUCCESS", "_FAILED"):
+        path = os.path.join(out_dir, marker)
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def list_manifests(out_dir: str) -> list[dict]:
     out = []
     for name in sorted(os.listdir(out_dir)):

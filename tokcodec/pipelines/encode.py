@@ -1,24 +1,23 @@
-"""Ray-Data encode/decode pipelines.
+"""The planned, resumable encode and the manifest-ordered decode.
 
-Two shapes, both idiomatic Ray Data:
+`plan_partitions` → `encode_dataset`: a cheap pass over the `n_tok`
+column builds skew-balanced partitions of ~equal token mass (pure
+function of input + config → deterministic, resumable); small inputs
+are planned in the calling process, larger ones by one Ray task per file
+running the same planner.  The encode stage is one plain Ray task per
+partition-spec group, a bounded number in flight with every CPU slot
+busy from the first round (`run_tasks`); each task reads a group's
+row-group span straight from storage once (columns pruned), encodes
+each partition's slice with the codec engine, and writes block +
+manifest atomically.  This is the 100 TB path: data moves
+storage→worker→storage exactly once, nothing transits the object store,
+and a dead run resumes by skipping complete manifests whose lineage is
+the plan's row range.
 
-1. **Planned, resumable** (`plan_partitions` → `encode_dataset`): a cheap
-   pass over the `n_tok` column builds skew-balanced partitions of ~equal
-   token mass (pure function of input + config → deterministic,
-   resumable); small inputs are planned on the driver, larger ones by
-   one Ray task per file running the same planner.  The encode stage is
-   one plain Ray task per partition-spec group, a bounded number in
-   flight with every CPU slot busy from the first round (`run_tasks`);
-   each task reads a group's row-group span straight from storage once
-   (columns pruned), encodes each partition's slice with the codec
-   engine, and writes block + manifest atomically.  This is the 100 TB
-   path: data moves storage→worker→storage exactly once, nothing transits
-   the object store, and a dead run resumes by skipping complete
-   manifests whose lineage is the plan's row range.
-
-2. **Streaming** (`encode_stream` / `decode_stream`): pure
-   `Dataset.map_batches` stages (Arrow in, one encoded-blob row out /
-   blob in, Arrow out) for composing with other Dataset transforms.
+`decode_dataset` reads an encoded dir back through the one TOKB read
+path, `sources.datasource.read_blocks`.  Datasets that are not parquet
+files encode through `sources.sink.TokbDatasink` instead and read back
+through `read_tokb`.
 
 The reference's only distribution story is Hadoop MR input/output
 formats with the schema in the job conf
@@ -39,13 +38,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from tokcodec import manifest as mf
-from tokcodec.blocks import (
-    MAGIC,
-    codec_summary,
-    decode_table,
-    encode_table,
-    read_header,
-)
+from tokcodec.blocks import MAGIC, codec_summary, encode_table, read_header
 
 DEFAULT_TARGET_TOKENS = 32_000_000  # ~64 MB of int32 tokens per partition
 
@@ -498,11 +491,9 @@ def encode_dataset(
 # ------------------------------------------------------------ decoding ----
 
 
-def manifest_blocks(out_dir: str, allow_partial: bool = False) -> list[tuple[str, int]]:
-    """(block path, read weight) per manifest under `out_dir`, in
-    manifest order, after the stale-plan and incomplete-encode guards."""
-    from tokcodec.sources.datasource import block_weight
-
+def checked_manifests(out_dir: str, allow_partial: bool = False) -> list[dict]:
+    """The manifests under `out_dir`, in manifest order, after the
+    stale-plan and incomplete-encode guards."""
     mans = mf.list_manifests(out_dir)
     if not mans:
         raise ValueError(f"no manifests under {out_dir}")
@@ -540,7 +531,18 @@ def manifest_blocks(out_dir: str, allow_partial: bool = False) -> list[tuple[str
                 f"manifest (e.g. pid {sorted(missing)[0]}); resume encode_dataset "
                 "to finish it, or pass allow_partial=True to decode what exists"
             )
-    return [(os.path.join(out_dir, m["block"]), block_weight(m)) for m in mans]
+    return mans
+
+
+def manifest_blocks(out_dir: str, allow_partial: bool = False) -> list[tuple[tuple[str], int]]:
+    """One-file read items, ((block path,), read weight), per checked
+    manifest under `out_dir`."""
+    from tokcodec.sources.datasource import block_weight
+
+    return [
+        ((os.path.join(out_dir, m["block"]),), block_weight(m))
+        for m in checked_manifests(out_dir, allow_partial)
+    ]
 
 
 def decode_dataset(
@@ -579,50 +581,5 @@ def count_prunable_blocks(out_dir: str, predicate) -> tuple[int, int]:
     from tokcodec.sources.datasource import block_prunable
 
     mans = mf.list_manifests(out_dir)
-    skip = sum(block_prunable(os.path.join(out_dir, m["block"]), predicate) for m in mans)
+    skip = sum(block_prunable((os.path.join(out_dir, m["block"]),), predicate) for m in mans)
     return skip, len(mans)
-
-
-# ------------------------------------------------------- streaming form ----
-
-
-def encode_stream(
-    ds, zstd: bool = True, meta_cols: tuple[str, ...] = ("n_tok",), schema=None
-):
-    """Pure Dataset transform: each Arrow block → one row
-    {data: binary blob, rows, n_tok, bytes_in, bytes_out}; `n_tok` is the
-    SUM over all matching meta_cols.  With `schema`, each batch is
-    validated before encoding (write-side enforcement,
-    ExampleParquetWriter.java:46-52 + Schema.java:171-174)."""
-
-    def _enc(batch: pa.Table) -> pa.Table:
-        if schema is not None:
-            schema.validate_table(batch)
-        blob = encode_table(batch, zstd=zstd)
-        ntok = 0
-        for c in meta_cols:
-            if c in batch.column_names:
-                ntok += int(pa.compute.sum(batch.column(c)).as_py() or 0)
-        return pa.Table.from_pylist(
-            [
-                {
-                    "data": blob,
-                    "rows": batch.num_rows,
-                    "n_tok": ntok,
-                    "bytes_in": int(batch.nbytes),
-                    "bytes_out": len(blob),
-                }
-            ]
-        )
-
-    return ds.map_batches(_enc, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def decode_stream(ds):
-    """Inverse of encode_stream: rows of {data: blob} → decoded rows."""
-
-    def _dec(batch: pa.Table) -> pa.Table:
-        tables = [decode_table(b.as_py())[0] for b in batch.column("data")]
-        return pa.concat_tables(tables)
-
-    return ds.map_batches(_dec, batch_format="pyarrow")

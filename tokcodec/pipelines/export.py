@@ -42,22 +42,7 @@ class TokenBinDatasink(Datasink):
         self.id_col = id_col
 
     def on_write_start(self):
-        os.makedirs(self.out_dir, exist_ok=True)
-        stale = [f for f in os.listdir(self.out_dir) if f.endswith(".bin")]
-        if stale:
-            # shard names key on executor task ids (stable only per
-            # execution): a re-export over a used dir would leave the
-            # earlier run's extra shards in place and any *.bin consumer
-            # would read deleted/duplicate docs with no error — same
-            # guard as the ingest pipeline's TOKB dir
-            raise ValueError(
-                f"{self.out_dir} already holds {len(stale)} shard(s) "
-                f"(e.g. {stale[0]}); export into a fresh directory"
-            )
-        for marker in ("_SUCCESS", "_FAILED"):
-            path = os.path.join(self.out_dir, marker)
-            if os.path.exists(path):
-                os.remove(path)  # never report a prior run's outcome
+        mf.claim_out_dir(self.out_dir, ".bin")
 
     @property
     def supports_distributed_writes(self) -> bool:

@@ -125,19 +125,6 @@ def ingest_documents(
 
     if fmt not in _FORMATS:
         raise ValueError(f"fmt must be one of {_FORMATS}, got {fmt!r}")
-    import os
-
-    if os.path.isdir(out_dir):
-        stale = [f for f in os.listdir(out_dir) if f.endswith(".tokb")]
-        if stale:
-            # block names key on executor task ids, which differ between
-            # runs — a re-ingest over a used dir would leave the earlier
-            # run's extra blocks in place and decode would concatenate
-            # both corpora with no error
-            raise ValueError(
-                f"{out_dir} already holds {len(stale)} block(s) "
-                f"(e.g. {stale[0]}); ingest into a fresh directory"
-            )
     if fmt == "files":
         ds = _read_doc_files(input_paths)
         id_col, text_col = "doc_id", "text"

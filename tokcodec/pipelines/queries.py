@@ -14,17 +14,18 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from tokcodec import manifest as mf
 from tokcodec.functions import ann, dedup, multimodal, sample, text
 from tokcodec.functions.sortagg import sorted_group_reduce
-from tokcodec.pipelines.encode import decode_stream, encode_stream
 from tokcodec.predicate import col, read_parquet_filtered
 from tokcodec.scanner import scan_schema
+from tokcodec.sources.sink import TokbDatasink, read_tokb
 
 
 # Row-aware read granularity for the catalog queries: Ray's default
 # splits even a 5000-row file into ~2*CPUs blocks to hit its parallelism
 # target, and every per-block stage (codec sampling, FSST table build,
-# auto-selection trials in encode_stream) then pays its fixed setup cost
+# auto-selection trials in the TOKB sink) then pays its fixed setup cost
 # 64 times on 78-row blocks — measured 4x on the sf0.1 roundtrip.  Keep
 # at least `_RP_MIN_ROWS_PER_BLOCK` rows per block (floor 4 blocks so
 # multi-block code paths — boundary stitching, partial aggregation —
@@ -80,42 +81,48 @@ def _rp(sf_dir: str, table: str, **kw):
 # ------------------------------------------------------------ engine ----
 
 
+def _sink(ds, tag: str, sf_dir: str) -> str:
+    """Encode `ds` through `TokbDatasink` into a fresh scratch dir."""
+    out = _scratch_dir(tag, sf_dir)
+    ds.write_datasink(TokbDatasink(out))
+    return out
+
+
 def roundtrip(table: str, columns: list[str]):
-    """Flagship: read → columnar encode (codec auto-selection) → decode →
-    the decoded rows.  The oracle (SELECT <cols>) passes iff decode is
-    value-identical — the reference's round-trip equality semantics
+    """Flagship: read → columnar encode (codec auto-selection) through
+    the TOKB sink → decode through `read_tokb` → the decoded rows.  The
+    oracle (SELECT <cols>) passes iff decode is value-identical — the
+    reference's round-trip equality semantics
     (ParquetExampleTest.scala:51-55) as a driver-checked query."""
 
     def run(sf_dir: str):
-        ds = _rp(sf_dir, table, columns=columns)
-        return decode_stream(encode_stream(ds)).map_batches(
-            lambda t: t.select(columns), batch_format="pyarrow"
-        )
+        return read_tokb(_sink(_rp(sf_dir, table, columns=columns), f"rt_{table}", sf_dir))
 
     return run
 
 
 def encode_stats(table: str = "documents"):
+    """One row per block the TOKB sink wrote: rows, bytes_in, bytes_out
+    (rows-only by design: block cuts follow Ray's read, not the data)."""
+
     def run(sf_dir: str):
-        ds = _rp(sf_dir, table)
-        enc = encode_stream(ds)
-        return enc.map_batches(
-            lambda t: t.select(["rows", "n_tok", "bytes_in", "bytes_out"]),
-            batch_format="pyarrow",
-        )
+        out = _sink(_rp(sf_dir, table), f"stats_{table}", sf_dir)
+        keys = ("rows", "bytes_in", "bytes_out")
+        return pa.Table.from_pylist([{k: m[k] for k in keys} for m in mf.list_manifests(out)])
 
     return run
 
 
 def tokenize_roundtrip_documents(sf_dir: str):
     """The full north-rule pipeline on real testdata: tokenize documents
-    into (doc_id, tokens, n_tok, source) → columnar encode → decode →
-    report (doc_id, n_tok).  Oracle-checkable because the tokenizer's
-    word rule matches DuckDB's regexp_extract_all, so a value-identical
-    n_tok after the round trip proves the encode/decode chain."""
+    into (doc_id, tokens, n_tok, source) → columnar encode through the
+    TOKB sink → decode (doc_id, n_tok) through `read_tokb`.
+    Oracle-checkable because the tokenizer's word rule matches DuckDB's
+    regexp_extract_all, so a value-identical n_tok after the round trip
+    proves the encode/decode chain."""
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text", "source"])
     tok = ds.map_batches(text.tokenize, batch_format="pyarrow")
-    dec = decode_stream(encode_stream(tok))
+    dec = read_tokb(_sink(tok, "tokrt", sf_dir), columns=["doc_id", "n_tok"])
     return dec.map_batches(
         lambda t: pa.table(
             {
@@ -194,7 +201,6 @@ def predicate_tokb_roundtrip(sf_dir: str):
     same WHERE in DuckDB over the source table."""
 
     from tokcodec.pipelines.encode import decode_dataset
-    from tokcodec.sources.sink import TokbDatasink
 
     out = _scratch_dir("tokbpred", sf_dir)
     # sort by the filter key so block zone maps are disjoint (the layout
@@ -214,7 +220,6 @@ def predicate_tokb_nested(sf_dir: str):
     Oracle = the same WHERE over the flat source columns."""
 
     from tokcodec.pipelines.encode import decode_dataset
-    from tokcodec.sources.sink import TokbDatasink
 
     out = _scratch_dir("tokbnest", sf_dir)
     ds = _rp(sf_dir, "documents", columns=["doc_id", "n_chars", "lang"])
@@ -255,7 +260,6 @@ def evolution_read_documents(sf_dir: str):
 
     from tokcodec.schema import Schema, Type
     from tokcodec.sources.reader import TokbReader
-    from tokcodec.sources.sink import TokbDatasink
 
     out = _scratch_dir("evo", sf_dir)
     ds = _rp(sf_dir, "documents", columns=["doc_id", "n_chars"])
@@ -1887,7 +1891,6 @@ def point_lookup_documents(sf_dir: str):
     `doc_id == <min id>`: every non-matching block skips at the header
     read via the bloom probe.  Oracle = the same point lookup in SQL."""
     from tokcodec.pipelines.encode import decode_dataset
-    from tokcodec.sources.sink import TokbDatasink
 
     out = _scratch_dir("bloomq", sf_dir)
     ds = _rp(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
@@ -1905,7 +1908,6 @@ def compact_roundtrip_documents(sf_dir: str):
     lost/duplicated/reordered-within-block row breaks the hash."""
     from tokcodec.pipelines.compact import compact_blocks
     from tokcodec.pipelines.encode import decode_dataset
-    from tokcodec.sources.sink import TokbDatasink
 
     tiny = _scratch_dir("cmp_tiny", sf_dir)
     out = _scratch_dir("cmp_out", sf_dir)
@@ -1922,7 +1924,6 @@ def sidecar_quality_documents(sf_dir: str):
     same word count in SQL over the source table — any base/sidecar
     misalignment would break the per-row hash."""
     from tokcodec.pipelines.sidecar import append_columns, read_with_sidecars
-    from tokcodec.sources.sink import TokbDatasink
 
     out = _scratch_dir("sidecarq", sf_dir)
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text"])
@@ -2033,7 +2034,6 @@ def export_bin_documents(sf_dir: str):
     import ray.data
 
     from tokcodec.pipelines.export import export_token_bin
-    from tokcodec.sources.sink import TokbDatasink
 
     tmp = _scratch_dir("exportbin", sf_dir)
     ds = _rp(sf_dir, "documents", columns=["doc_id", "text", "source"])

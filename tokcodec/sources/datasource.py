@@ -1,16 +1,19 @@
 """The Ray fan-outs: a Ray Data datasource for TOKB blocks (the one
 decode path) and the write side's plain-task fan-out.
 
-`read_blocks` turns an ordered list of (block path, weight) into ONE
-`ray.data.read_datasource` operator.  Each read task decodes a contiguous
-run of blocks with `blocks.decode_file` and yields one table per block;
-runs are balanced on the weights, which estimate each block's decoded
-bytes.  With a predicate, the zone maps in the block headers are checked
-on the driver first, so pruned blocks never get a task.
+`read_blocks` turns an ordered list of read items into ONE
+`ray.data.read_datasource` operator.  A read item is a base block plus
+the row-aligned sidecar blocks whose columns join it (a plain block is
+the one-file item).  Each read task decodes a contiguous run of items
+and yields one table per item; runs are balanced on the item weights,
+which estimate decoded bytes.  With a predicate, the zone maps in the
+item's block headers are merged and checked before scheduling, so
+pruned items never get a task.
 
 `decode_dataset` (manifest dirs), `TokbReader.dataset` (read schema
-applied per block, inside the task) and `read_tokb` (raw block dirs) all
-read through here.
+applied per block, inside the task), `read_tokb` (raw block dirs) and
+`read_with_sidecars` (base blocks zipped with sidecars) all read
+through here.
 
 `run_tasks` runs the write side's fan-outs (encode, compaction,
 packing, sidecars, `cli verify`/`audit`) as plain Ray tasks, a bounded
@@ -32,7 +35,7 @@ import ray.data
 from ray.data.block import BlockMetadata
 from ray.data.datasource import Datasource, ReadTask
 
-from tokcodec.blocks import decode_file, header_stats, read_header_file
+from tokcodec.blocks import decode_file, header_schema, header_stats, read_header_file
 
 
 def cpu_slots() -> int:
@@ -110,10 +113,15 @@ def block_weight(man: dict) -> int:
     )
 
 
-def block_prunable(path: str, predicate) -> bool:
-    """True when the block header's zone maps prove no row can match
-    `predicate` (a header read; the payload is never touched)."""
-    return not predicate.stats_may_match(header_stats(read_header_file(path)))
+def block_prunable(files: tuple[str, ...], predicate) -> bool:
+    """True when the merged zone maps of a read item's block headers
+    prove no row can match `predicate` (header reads; the payloads are
+    never touched).  A skip drops the whole item, so row-aligned files
+    stay aligned."""
+    stats: dict = {}
+    for p in files:
+        stats.update(header_stats(read_header_file(p)))
+    return not predicate.stats_may_match(stats)
 
 
 def block_runs(weights: list[int], slots: int, target: int | None) -> list[tuple[int, int]]:
@@ -159,77 +167,133 @@ def ray_block_target(weights: list[int]) -> int:
     return max(1, int(math.sqrt(lo * hi / 1.5)))
 
 
-def _decode_run(paths: list[str], columns, predicate, per_block) -> Iterator[pa.Table]:
-    for p in paths:
-        t, _ = decode_file(p, columns=columns, predicate=predicate)
+def _top(c: str) -> str:
+    return c.split(".")[0]
+
+
+def _file_columns(files: tuple[str, ...], columns, predicate) -> list:
+    """The columns each file of a read item decodes: every file after
+    the first takes the requested columns (plus the predicate's) that
+    its header names, the first file takes the rest.  Only the headers
+    of the files after the first are read, so one-file items read none.
+    None decodes a whole file."""
+    if columns is None:
+        return [None] * len(files)
+    tops = {_top(c) for c in columns}
+    want = list(columns) + sorted(
+        c for c in getattr(predicate, "columns", ()) if _top(c) not in tops
+    )
+    later = [set(header_schema(read_header_file(p)).names) for p in files[1:]]
+    taken = set().union(*later)
+    return [
+        [c for c in want if _top(c) not in taken],
+        *([c for c in want if _top(c) in names] for names in later),
+    ]
+
+
+def _decode_item(files, file_cols, columns, predicate) -> pa.Table:
+    """One read item's rows: its files decoded side by side, then the
+    residual filter, then the requested columns in request order."""
+    if len(files) == 1:
+        # a lone block prunes, filters and projects inside decode_file
+        return decode_file(files[0], columns=columns, predicate=predicate)[0]
+    parts = [
+        decode_file(p, columns=c)[0]
+        for p, c in zip(files, file_cols)
+        if c is None or c  # a file with no requested column is never read
+    ]
+    if not parts:
+        raise ValueError("column selection matched none of the row-aligned blocks")
+    if len({t.num_rows for t in parts}) != 1:
+        raise ValueError(
+            f"row-aligned blocks disagree on row count: {[t.num_rows for t in parts]}"
+        )
+    t = parts[0]
+    for part in parts[1:]:
+        for f, c in zip(part.schema, part.columns):
+            t = t.append_column(f, c)
+    if predicate is not None:
+        t = predicate.filter_table(t)
+    if columns is not None:
+        t = t.select(list(dict.fromkeys(_top(c) for c in columns)))
+    return t
+
+
+def _decode_run(items, file_cols, columns, predicate, per_block) -> Iterator[pa.Table]:
+    for files in items:
+        t = _decode_item(files, file_cols, columns, predicate)
         yield t if per_block is None else per_block(t)
 
 
 class TokbDatasource(Datasource):
-    """One read task per run of blocks (see `block_runs`)."""
+    """One read task per run of read items (see `block_runs`)."""
 
     def __init__(
         self,
-        blocks: list[tuple[str, int]],
+        items: list[tuple[tuple[str, ...], int]],
         runs: list[tuple[int, int]],
         columns: list[str] | None,
         predicate,
         per_block: Callable[[pa.Table], pa.Table] | None,
     ):
-        self._blocks = blocks
+        self._items = items
         self._runs = runs
         self._columns = columns
         self._predicate = predicate
         self._per_block = per_block
+        self._file_cols = _file_columns(items[0][0], columns, predicate)
 
     def get_name(self) -> str:
         return "TOKB"
 
     def estimate_inmemory_data_size(self) -> int:
-        return sum(w for _, w in self._blocks)
+        return sum(w for _, w in self._items)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        cols, pred, fn = self._columns, self._predicate, self._per_block
+        fc, cols, pred, fn = self._file_cols, self._columns, self._predicate, self._per_block
         tasks = []
         for lo, hi in self._runs:
-            paths = [p for p, _ in self._blocks[lo:hi]]
+            run = [files for files, _ in self._items[lo:hi]]
             # num_rows stays unknown: a known count would let ds.count()
             # answer from metadata without decoding anything
             meta = BlockMetadata(
                 num_rows=None,
-                size_bytes=sum(w for _, w in self._blocks[lo:hi]),
-                input_files=paths,
+                size_bytes=sum(w for _, w in self._items[lo:hi]),
+                input_files=[p for files in run for p in files],
                 exec_stats=None,
             )
             tasks.append(ReadTask(
-                lambda paths=paths: _decode_run(paths, cols, pred, fn), meta
+                lambda run=run: _decode_run(run, fc, cols, pred, fn), meta
             ))
         return tasks
 
 
 def read_blocks(
-    blocks: list[tuple[str, int]],
+    items: list[tuple[tuple[str, ...], int]],
     columns: list[str] | None = None,
     predicate=None,
     per_block: Callable[[pa.Table], pa.Table] | None = None,
 ):
-    """Dataset over TOKB blocks, given as (path, weight) in the order the
-    rows must come back.  `per_block` maps each decoded table inside the
-    read task.
+    """Dataset over TOKB read items, given as (files, weight) in the
+    order the rows must come back.  `files` is a block path followed by
+    the paths of its row-aligned sidecar blocks, whose columns are
+    appended to the block's; every item has the same layout.  `columns`
+    selects across all of them, and `per_block` maps each item's table
+    inside the read task.
 
     The returned dataset keeps that order and emits one Ray block per
-    TOKB block: both are set on its own context (`ds.context`, a copy,
-    never the global one), so operators chained on it inherit
-    `preserve_order` and the per-block size target."""
+    item: both are set on its own context (`ds.context`, a copy, never
+    the global one), so operators chained on it inherit `preserve_order`
+    and the per-block size target."""
     if predicate is not None:
-        # keep one block when all are pruned: decode_file prunes it again
-        # in its task, and the dataset still carries the projected schema
-        blocks = [b for b in blocks if not block_prunable(b[0], predicate)] or blocks[:1]
-    weights = [w for _, w in blocks]
+        # keep one item when all are pruned: it decodes to no rows in its
+        # task, and the dataset still carries the projected schema
+        items = [it for it in items if not block_prunable(it[0], predicate)] or items[:1]
+    weights = [w for _, w in items]
     session_target = ray.data.DataContext.get_current().target_max_block_size
     runs = block_runs(weights, cpu_slots(), session_target)
     ds = ray.data.read_datasource(
-        TokbDatasource(blocks, runs, columns, predicate, per_block),
+        TokbDatasource(items, runs, columns, predicate, per_block),
         override_num_blocks=len(runs),
     )
     ds.context.execution_options.preserve_order = True

@@ -13,6 +13,7 @@ matters.  This is the analog of the reference's MR output format
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Iterable
@@ -41,7 +42,7 @@ class TokbDatasink(Datasink):
         self.bloom_cols = bloom_cols
 
     def on_write_start(self):
-        os.makedirs(self.out_dir, exist_ok=True)
+        mf.claim_out_dir(self.out_dir, ".tokb")
 
     @property
     def supports_distributed_writes(self) -> bool:
@@ -69,8 +70,6 @@ class TokbDatasink(Datasink):
             )
             path = os.path.join(self.out_dir, name + ".tokb")
             mf.atomic_write_bytes(path, blob)
-            import hashlib
-
             man = {
                 "block": name + ".tokb",
                 "rows": t.num_rows,
@@ -120,8 +119,8 @@ def read_tokb(out_dir: str, columns: list[str] | None = None, predicate=None):
     )
     if not paths:
         raise ValueError(f"no .tokb blocks under {out_dir}")
-    blocks = [(p, os.path.getsize(p)) for p in paths]
-    return read_blocks(blocks, columns=columns, predicate=predicate)
+    items = [((p,), os.path.getsize(p)) for p in paths]
+    return read_blocks(items, columns=columns, predicate=predicate)
 
 
 def _read_summary(out_dir: str) -> dict:

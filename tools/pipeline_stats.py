@@ -1,6 +1,7 @@
-"""Print Ray Data per-stage stats for the streaming round-trip pipeline —
-the feedback loop used to keep wall-time dominated by useful compute
-(ray_guide: 'read ds.stats() for the stage and iterate').
+"""Print Ray Data per-stage stats for the catalog's round trip: the
+documents table written through `TokbDatasink`, then scanned back
+through `read_tokb` — the feedback loop used to keep wall-time
+dominated by useful compute (read ds.stats() for the stage and iterate).
 
 Usage: python tools/pipeline_stats.py [sf_dir]
 """
@@ -22,11 +23,18 @@ def main():
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
-    from tokcodec.pipelines.encode import decode_stream, encode_stream
+    import tempfile
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
-    out = decode_stream(encode_stream(ds)).materialize()
-    print(out.stats())
+    from tokcodec.sources.sink import TokbDatasink, read_tokb
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
+        ds.write_datasink(TokbDatasink(tmp))
+        print("== sink write ==")
+        print(ds.stats())
+        out = read_tokb(tmp).materialize()
+        print(f"== read_tokb scan ({out.count()} rows) ==")
+        print(out.stats())
     ray.shutdown()
 
 
