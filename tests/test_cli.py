@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from tokcodec.cli import main
 
 
@@ -204,3 +206,12 @@ def test_cli_dedup_minhash(ray_session, tmp_path, capsys):
     res = _run(capsys, "dedup", "--method", "minhash", "--input", str(batch),
                "--index", idx, "--run-id", "b1", "--n-buckets", "8")
     assert res["accepted"] == 1  # b near-dups a; c is fresh
+
+
+@pytest.mark.parametrize("kind", ["planned", "sink", "compacted", "sidecar"])
+def test_cli_audit_passes_every_kind_of_dir(kind, written_dirs, capsys):
+    """Every block writer records its block's checksum, so a fresh dir of
+    each kind audits clean with no block of unknown state."""
+    res = _run(capsys, "audit", "--encoded", written_dirs[kind])
+    assert res["blocks"] >= 1 and res["corrupt"] == []
+    assert res["unknown"] == 0 and res["ok"] == res["blocks"]

@@ -27,7 +27,7 @@ def small_blocks(ray_session, fixture_parquet, tmp_path_factory):
 
 def test_plan_buckets_respect_target_and_order(small_blocks):
     mans = mf.list_manifests(small_blocks)
-    total = sum(m["rows"] for m in mans)
+    total = sum(m["metrics"]["rows"] for m in mans)
     plan = plan_compaction(small_blocks, target_tokens=total // 4)
     assert 3 <= len(plan) <= 8
     # order-preserving: concatenated member lists == manifest order
@@ -39,10 +39,7 @@ def test_compact_preserves_rows_and_order(small_blocks, ray_session, tmp_path):
     out = str(tmp_path / "compacted")
     before = decode_dataset(small_blocks).to_pandas()
     mans = mf.list_manifests(small_blocks)
-    total_mass = sum(
-        (m.get("metrics") or {}).get("n_tok") or m.get("n_tok") or m["rows"]
-        for m in mans
-    )
+    total_mass = sum(m["metrics"]["rows"] for m in mans)
     res = compact_blocks(small_blocks, out, target_tokens=total_mass // 3)
     assert res["buckets"] < len(mans)
     after = decode_dataset(out).to_pandas()
@@ -54,10 +51,7 @@ def test_compact_preserves_rows_and_order(small_blocks, ray_session, tmp_path):
 def test_compact_is_resumable_and_purges_stale(small_blocks, ray_session, tmp_path):
     out = str(tmp_path / "c2")
     mans = mf.list_manifests(small_blocks)
-    total_mass = sum(
-        (m.get("metrics") or {}).get("n_tok") or m.get("n_tok") or m["rows"]
-        for m in mans
-    )
+    total_mass = sum(m["metrics"]["rows"] for m in mans)
     r1 = compact_blocks(small_blocks, out, target_tokens=total_mass // 3)
     r2 = compact_blocks(small_blocks, out, target_tokens=total_mass // 3)
     assert r2["resumed"] == r1["buckets"] and r2["rows"] == 0
@@ -120,7 +114,7 @@ def test_compact_manifest_never_mislabels_rows_as_tokens(small_blocks, ray_sessi
     out = str(tmp_path / "mass")
     compact_blocks(small_blocks, out, target_tokens=10**9)
     for man in mf.list_manifests(out):
-        assert "n_tok" not in man
+        assert "n_tok" not in man["metrics"]
 
 
 def test_compacted_manifests_weigh_blocks_by_decoded_bytes(small_blocks, ray_session, tmp_path):
@@ -129,5 +123,5 @@ def test_compacted_manifests_weigh_blocks_by_decoded_bytes(small_blocks, ray_ses
     out = str(tmp_path / "weigh")
     res = compact_blocks(small_blocks, out, target_tokens=10**4)
     mans = mf.list_manifests(out)
-    assert all(m["bytes_in"] > m["bytes_out"] for m in mans)
+    assert all(m["metrics"]["bytes_in"] > m["block_bytes"] for m in mans)
     assert decode_dataset(out).materialize().num_blocks() == res["buckets"] == len(mans)

@@ -155,3 +155,25 @@ def test_token_bin_write_start_clears_stale_markers(tmp_path):
     TokenBinDatasink(str(tmp_path)).on_write_start()
     assert not (tmp_path / "_SUCCESS").exists()
     assert not (tmp_path / "_FAILED").exists()
+
+
+def test_token_bin_refuses_a_used_dir(ray_session, tmp_path):
+    """A second export over a dir that holds .bin shards is refused, and
+    the refused dir gains no _FAILED next to its first export's
+    _SUCCESS."""
+    import ray.data
+
+    t = pa.table({
+        "doc_id": pa.array([f"d{i}" for i in range(100)]),
+        "tokens": pa.array([[i, i + 1] for i in range(100)], pa.list_(pa.int32())),
+    })
+    out = str(tmp_path / "bin")
+    ray.data.from_arrow(t).write_datasink(TokenBinDatasink(out))
+    shards = sorted(n for n in os.listdir(out) if n.endswith(".bin"))
+    assert shards
+    with pytest.raises(ValueError, match="fresh directory"):
+        ray.data.from_arrow(t).write_datasink(TokenBinDatasink(out))
+    assert sorted(n for n in os.listdir(out) if n.endswith(".bin")) == shards
+    assert os.path.exists(os.path.join(out, "_SUCCESS"))
+    assert not os.path.exists(os.path.join(out, "_FAILED"))
+    assert len(dict(iter_token_bin(out))) == 100

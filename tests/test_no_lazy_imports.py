@@ -16,6 +16,7 @@ WORKER_MODULES = [
     "tokcodec/blocks.py",
     "tokcodec/bloom.py",
     "tokcodec/schema.py",
+    "tokcodec/manifest.py",
     "tokcodec/scanner.py",
     "tokcodec/projection.py",
     "tokcodec/predicate.py",
@@ -80,3 +81,21 @@ def test_ray_entry_registers_full_module_graph():
     loaded = set(out.stdout.split())
     missing = sorted(expected - loaded)
     assert not missing, f"modules not in the by-value graph: {missing}"
+
+
+def test_write_side_modules_do_not_load_ray_data():
+    """Encode, compaction and sidecar tasks write blocks through
+    `tokcodec.manifest`; importing it (with the encode and compaction
+    pipelines) must not load `ray.data`, which would add its ~7 MB to
+    every encode worker's peak RSS."""
+    import subprocess
+    import sys as _sys
+
+    out = subprocess.run(
+        [_sys.executable, "-c",
+         "import sys; sys.path.insert(0, %r); import tokcodec.manifest, "
+         "tokcodec.pipelines.encode, tokcodec.pipelines.compact; "
+         "print('ray.data' in sys.modules)" % REPO],
+        capture_output=True, text=True, check=True, cwd="/tmp",
+    )
+    assert out.stdout.split() == ["False"]

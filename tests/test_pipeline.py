@@ -951,14 +951,10 @@ def test_block_runs_balance_on_weight_not_block_count():
     assert block_runs([], 4, None) == []
 
 
-def test_block_weight_falls_back_to_block_bytes():
+def test_block_weight_is_the_decoded_bytes():
     from tokcodec.sources.datasource import block_weight
 
     assert block_weight({"metrics": {"bytes_in": 700}, "block_bytes": 90}) == 700
-    assert block_weight({"bytes_in": 650, "bytes_out": 80}) == 650  # sink manifest
-    assert block_weight({"metrics": {}, "block_bytes": 90}) == 90
-    assert block_weight({"block_bytes": 90}) == 90
-    assert block_weight({"bytes_out": 80}) == 80
 
 
 def _manifest_order_rows(out: str) -> list:

@@ -130,7 +130,23 @@ def test_sink_refuses_a_used_dir(ray_session, tmp_path):
     with pytest.raises(ValueError, match="fresh directory"):
         ray.data.from_arrow(t).repartition(2).write_datasink(TokbDatasink(out))
     assert sorted(n for n in os.listdir(out) if n.endswith(".tokb")) == blocks
+    # Ray reports the refusal to on_write_failed too: the used dir keeps
+    # its first write's _SUCCESS and gains no _FAILED
+    assert os.path.exists(os.path.join(out, "_SUCCESS"))
+    assert not os.path.exists(os.path.join(out, "_FAILED"))
     assert read_tokb(out).count() == 1000
+
+
+@pytest.mark.parametrize("kind", ["tokb", "bin"])
+def test_claimed_write_that_fails_leaves_failed(kind, tmp_path):
+    """A write whose claim succeeded still marks its failure."""
+    from tokcodec.pipelines.export import TokenBinDatasink
+    from tokcodec.sources.sink import TokbDatasink
+
+    sink = (TokbDatasink if kind == "tokb" else TokenBinDatasink)(str(tmp_path))
+    sink.on_write_start()
+    sink.on_write_failed(RuntimeError("a task died"))
+    assert (tmp_path / "_FAILED").read_text() == "a task died"
 
 
 def test_sink_clears_stale_markers(ray_session, tmp_path):
@@ -190,7 +206,7 @@ def test_encode_stats_rows_are_the_sink_manifests(ray_session, docs_sf):
     mans = mf.list_manifests(str(scratch / "stats_documents"))
     assert len(mans) >= 2
     assert got.to_pylist() == [
-        {"rows": m["rows"], "bytes_in": m["bytes_in"], "bytes_out": m["bytes_out"]}
+        {k: m["metrics"][k] for k in ("rows", "bytes_in", "bytes_out")}
         for m in mans
     ]
     assert sum(got["rows"].to_pylist()) == docs.num_rows

@@ -86,10 +86,7 @@ def cmd_decode(args) -> int:
     ds = decode_dataset(args.input)
     ds.write_parquet(args.out)
     # row count from manifests — ds.count() would re-run the whole decode
-    rows = sum(
-        m.get("metrics", {}).get("rows", m.get("rows", 0))
-        for m in mf.list_manifests(args.input)
-    )
+    rows = sum(m["metrics"]["rows"] for m in mf.list_manifests(args.input))
     print(json.dumps({"rows": rows, "out": args.out}))
     return 0
 

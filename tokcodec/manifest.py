@@ -1,17 +1,38 @@
-"""Per-partition lineage/metrics manifests + plan manifest for resumable
-runs (north rule: "checkpoint-resumable ... per-partition lineage +
-metrics"; design in SURVEY.md §4 'Checkpoint / resume').
+"""Block + manifest writes and the plan manifest for resumable runs
+(north rule: "checkpoint-resumable ... per-partition lineage + metrics";
+design in SURVEY.md §4 'Checkpoint / resume').
 
-Layout under an output dir:
+Every TOKB block is written by `write_block` (planned encode, the
+streaming sink, compaction and sidecars); perfbench's replay writes
+through `write_partition`, a wrapper over the same write step.  Layout
+under an output dir:
 
-    plan.json                      # partition specs + config fingerprint
-    part-00042.tokb                # encoded block (atomic tmp+rename)
-    part-00042.manifest.json       # lineage, metrics, checksum
+    plan.json                      # planned encode: specs + config fingerprint
+    <stem>.tokb                    # encoded block (atomic tmp+rename)
+    <stem>.manifest.json           # the block's manifest
 
-A partition is complete iff its manifest exists, carries the current
-plan fingerprint, and its block file exists with the recorded size.
-Resume = skip complete partitions; everything is a pure function of
-(input files, config) so a rerun reproduces identical partitioning.
+One manifest schema for every block:
+
+    block, block_bytes, checksum   # file name, its size and its sha256
+    codecs                         # codec tree per column (codec_summary)
+    metrics: rows, bytes_in, bytes_out, encode_s, zstd_s, write_s
+
+`bytes_in` is the decoded table's Arrow bytes (the read path's block
+weight), `bytes_out` equals `block_bytes`, `zstd_s` is the container's
+compress pass inside `encode_s`, `write_s` the block's fsync'd write
+plus its sha256.  Each writer adds its extras:
+
+    planned    pid, fingerprint, lineage; metrics.pid, n_tok, read_s,
+               read_group, resumed
+    compaction bucket, members, member_idents, config; metrics.n_tok
+               only when every member carried a token count
+    sidecar    base, base_bytes, base_checksum, base_rows
+    sink       none
+
+A planned partition is complete iff its manifest exists, carries the
+current plan fingerprint, and its block file exists with the recorded
+size.  Resume = skip complete partitions; everything is a pure function
+of (input files, config) so a rerun reproduces identical partitioning.
 """
 
 from __future__ import annotations
@@ -21,6 +42,10 @@ import json
 import os
 import time
 from typing import Any
+
+import pyarrow as pa
+
+from tokcodec.blocks import codec_summary, encode_table, read_header
 
 
 def fingerprint(obj: Any) -> str:
@@ -42,12 +67,66 @@ def atomic_write_json(path: str, obj: Any) -> None:
     atomic_write_bytes(path, json.dumps(obj, indent=1, sort_keys=True).encode())
 
 
-def block_path(out_dir: str, pid: int) -> str:
-    return os.path.join(out_dir, f"part-{pid:05d}.tokb")
+def part_stem(pid: int) -> str:
+    """File stem of planned partition `pid`'s block and manifest."""
+    return f"part-{pid:05d}"
 
 
 def manifest_path(out_dir: str, pid: int) -> str:
-    return os.path.join(out_dir, f"part-{pid:05d}.manifest.json")
+    return os.path.join(out_dir, part_stem(pid) + ".manifest.json")
+
+
+def _write(out_dir: str, stem: str, blob: bytes, codecs: dict, metrics: dict,
+           extra: dict) -> dict:
+    """Write the block file, then its manifest (both atomic and fsync'd).
+    The manifest's metrics are `metrics` plus ``write_s``: the seconds of
+    the block write and its sha256 (the manifest's own write cannot be in
+    the manifest)."""
+    t0 = time.monotonic()
+    name = stem + ".tokb"
+    atomic_write_bytes(os.path.join(out_dir, name), blob)
+    man = {
+        **extra,
+        "block": name,
+        "block_bytes": len(blob),
+        "checksum": hashlib.sha256(blob).hexdigest(),
+        # which codec won per column (SURVEY.md §7 step 3's
+        # choice-recording requirement)
+        "codecs": codecs,
+        "metrics": dict(metrics, write_s=round(time.monotonic() - t0, 4)),
+    }
+    atomic_write_json(os.path.join(out_dir, stem + ".manifest.json"), man)
+    return man
+
+
+def write_block(
+    out_dir: str,
+    stem: str,
+    table: pa.Table,
+    meta: dict,
+    *,
+    zstd: bool,
+    bloom_cols: list[str] | None = None,
+    metrics: dict | None = None,
+    **extra,
+) -> dict:
+    """Encode `table` (block meta `meta`) into ``<stem>.tokb`` under
+    `out_dir` and write its manifest; returns the manifest.  `metrics`
+    adds the writer's own metrics to the common ones, `extra` its
+    top-level keys (see the module docstring)."""
+    t0 = time.monotonic()
+    timings: dict = {}
+    blob = encode_table(table, meta=meta, zstd=zstd, bloom_cols=bloom_cols,
+                        timings=timings)
+    metrics = {
+        "rows": table.num_rows,
+        "bytes_in": int(table.nbytes),
+        "bytes_out": len(blob),
+        "encode_s": round(time.monotonic() - t0, 4),
+        "zstd_s": round(timings["zstd_s"], 4),
+        **(metrics or {}),
+    }
+    return _write(out_dir, stem, blob, codec_summary(read_header(blob)), metrics, extra)
 
 
 def write_partition(
@@ -59,28 +138,10 @@ def write_partition(
     fp: str,
     codecs: dict | None = None,
 ) -> dict:
-    """Write the block file, then its manifest (both atomic and fsync'd).
-    The manifest's metrics are ``metrics`` plus ``write_s``: the seconds of
-    the block write and its sha256 (the manifest's own write cannot be in
-    the manifest)."""
-    t0 = time.monotonic()
-    bp = block_path(out_dir, pid)
-    atomic_write_bytes(bp, blob)
-    checksum = hashlib.sha256(blob).hexdigest()
-    man = {
-        "pid": pid,
-        "fingerprint": fp,
-        "block": os.path.basename(bp),
-        "block_bytes": len(blob),
-        "checksum": checksum,
-        "lineage": lineage,
-        "metrics": dict(metrics, write_s=round(time.monotonic() - t0, 4)),
-        # which codec won per column (SURVEY.md §7 step 3's
-        # choice-recording requirement)
-        "codecs": codecs or {},
-    }
-    atomic_write_json(manifest_path(out_dir, pid), man)
-    return man
+    """Write an already-encoded planned partition: `blob` with `metrics`
+    as given (plus ``write_s``)."""
+    return _write(out_dir, part_stem(pid), blob, codecs or {}, metrics,
+                  {"pid": pid, "fingerprint": fp, "lineage": lineage})
 
 
 def load_manifest(out_dir: str, pid: int) -> dict | None:
@@ -95,16 +156,12 @@ def load_manifest(out_dir: str, pid: int) -> dict | None:
         return None
 
 
-def load_if_complete(
-    out_dir: str, pid: int, fp: str, verify_checksum: bool = False
-) -> dict | None:
+def load_if_complete(out_dir: str, pid: int, fp: str) -> dict | None:
     """Single-read resume check: return the manifest when the partition
-    is verifiably complete under ``fp``, else None.  Callers that need
-    the manifest use this instead of is_complete + load_manifest (one
-    open+parse, not two — the resume hot path is 100k+ partitions of
-    small-file round trips).  Manifests missing expected keys (older /
-    foreign layouts) count as not-complete — re-encode, never KeyError
-    the run."""
+    is complete under ``fp``, else None.  One open+parse per partition:
+    the resume hot path is 100k+ partitions of small-file round trips.
+    Manifests missing expected keys (older / foreign layouts) count as
+    not-complete — re-encode, never KeyError the run."""
     man = load_manifest(out_dir, pid)
     if man is None or man.get("fingerprint") != fp:
         return None
@@ -117,15 +174,7 @@ def load_if_complete(
             return None
     except OSError:
         return None
-    if verify_checksum:
-        with open(bp, "rb") as f:
-            if hashlib.sha256(f.read()).hexdigest() != man.get("checksum"):
-                return None
     return man
-
-
-def is_complete(out_dir: str, pid: int, fp: str, verify_checksum: bool = False) -> bool:
-    return load_if_complete(out_dir, pid, fp, verify_checksum) is not None
 
 
 def claim_out_dir(out_dir: str, suffix: str) -> None:
@@ -153,7 +202,13 @@ def list_manifests(out_dir: str) -> list[dict]:
     for name in sorted(os.listdir(out_dir)):
         if name.endswith(".manifest.json"):
             with open(os.path.join(out_dir, name)) as f:
-                out.append(json.load(f))
+                man = json.load(f)
+            if "block_bytes" not in man or "metrics" not in man:
+                raise ValueError(
+                    f"{os.path.join(out_dir, name)} predates the one manifest "
+                    "schema (no block_bytes/metrics); rewrite this dir"
+                )
+            out.append(man)
     return out
 
 

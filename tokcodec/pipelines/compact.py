@@ -7,8 +7,8 @@ reads, task scheduling, manifest stats) out of proportion to payload.
 `compact_blocks` re-buckets an encoded dir into ~target_tokens blocks:
 
 - the plan is driver-side and O(blocks): greedy consecutive bucketing
-  over manifest masses (token counts when the manifests carry them,
-  rows otherwise) — no data moves to the driver;
+  over manifest masses (`metrics.n_tok` when the manifests carry it,
+  `metrics.rows` otherwise) — no data moves to the driver;
 - one Ray task per output bucket decodes its member blocks, concats,
   and re-encodes ONCE (per-partition dictionaries/FSST tables rebuild
   over the merged rows — compaction often SHRINKS the corpus);
@@ -23,29 +23,22 @@ planned dirs (pid order) and sink dirs (task/seq order) alike.
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import pyarrow as pa
 
 from tokcodec import manifest as mf
-from tokcodec.blocks import decode_file, encode_table
+from tokcodec.blocks import decode_file
 
 
 def _mass(man: dict) -> tuple[int, bool]:
-    """(mass, is_token_mass): true token counts when the manifest has
-    them, row counts otherwise — callers must not label rows as tokens."""
-    m = man.get("metrics") or {}
-    for src in (man, m):
-        v = src.get("n_tok")
-        if v:
-            return int(v), True
-    return int(man.get("rows", (man.get("metrics") or {}).get("rows", 1)) or 1), False
-
-
-def _ident(man: dict) -> str:
-    """Content identity of a member block for resume checks."""
-    return man.get("checksum") or f"{man.get('block_bytes', man.get('bytes_out'))}"
+    """(mass, is_token_mass): the block's token count when its manifest
+    has one, its row count otherwise — callers must not label rows as
+    tokens."""
+    m = man["metrics"]
+    if "n_tok" in m:
+        return int(m["n_tok"]), True
+    return int(m["rows"]), False
 
 
 def plan_compaction(in_dir: str, target_tokens: int) -> list[dict]:
@@ -71,7 +64,7 @@ def plan_compaction(in_dir: str, target_tokens: int) -> list[dict]:
         {
             "bucket": i,
             "blocks": [m["block"] for m in bs],
-            "idents": [_ident(m) for m in bs],
+            "idents": [m["checksum"] for m in bs],
             "mass": sum(_mass(m)[0] for m in bs),
             "token_mass": all(_mass(m)[1] for m in bs),
         }
@@ -122,7 +115,7 @@ def compact_blocks(
         try:
             size_ok = prev is not None and os.path.getsize(
                 os.path.join(out_dir, prev["block"])
-            ) == prev["bytes_out"]
+            ) == prev["block_bytes"]
         except OSError:  # manifest without its block: rebuild
             size_ok = False
         if (
@@ -138,32 +131,19 @@ def compact_blocks(
     def _compact(spec: dict) -> list[dict]:
         # cfg is captured by value via cloudpickle with the closure
         tabs = [decode_file(os.path.join(in_dir, b))[0] for b in spec["blocks"]]
-        merged = pa.concat_tables(tabs).combine_chunks()
-        blob = encode_table(
-            merged,
-            meta={"compacted_from": len(spec["blocks"])},
-            zstd=zstd,
-            bloom_cols=bloom_cols,
-        )
-        name = f"compact-{spec['bucket']:05d}"
-        mf.atomic_write_bytes(os.path.join(out_dir, name + ".tokb"), blob)
-        man = {
-            "block": name + ".tokb",
-            "bucket": spec["bucket"],
-            "rows": merged.num_rows,
-            "bytes_in": int(merged.nbytes),
-            "bytes_out": len(blob),
-            "checksum": hashlib.sha256(blob).hexdigest(),
-            "members": list(spec["blocks"]),
-            "member_idents": list(spec["idents"]),
-            "config": cfg,
-        }
-        if spec["token_mass"]:
+        man = mf.write_block(
+            out_dir, f"compact-{spec['bucket']:05d}",
+            pa.concat_tables(tabs).combine_chunks(),
+            {"compacted_from": len(spec["blocks"])}, zstd=zstd, bloom_cols=bloom_cols,
             # only label token masses as tokens; a row-count fallback
             # mass must not masquerade as n_tok downstream
-            man["n_tok"] = int(spec["mass"])
-        mf.atomic_write_json(os.path.join(out_dir, name + ".manifest.json"), man)
-        return [{"rows": man["rows"], "bytes_out": man["bytes_out"]}]
+            metrics={"n_tok": int(spec["mass"])} if spec["token_mass"] else None,
+            bucket=spec["bucket"],
+            members=list(spec["blocks"]),
+            member_idents=list(spec["idents"]),
+            config=cfg,
+        )
+        return [{"rows": man["metrics"]["rows"], "bytes_out": man["block_bytes"]}]
 
     res = run_tasks(todo, _compact)
     rows = sum(r["rows"] for r in res)

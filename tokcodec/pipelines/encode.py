@@ -38,7 +38,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from tokcodec import manifest as mf
-from tokcodec.blocks import MAGIC, codec_summary, encode_table, read_header
+from tokcodec.blocks import MAGIC
 
 DEFAULT_TARGET_TOKENS = 32_000_000  # ~64 MB of int32 tokens per partition
 
@@ -397,29 +397,18 @@ class EncodeWorker:
         pid = int(spec["pid"])
         if self.schema is not None:
             self.schema.validate_table(table)
-        t0 = time.monotonic()
         lineage = _lineage(spec)
-        timings: dict = {}
-        blob = encode_table(
-            table, meta={"pid": pid, "lineage": lineage}, zstd=self.zstd,
-            bloom_cols=self.bloom_cols, timings=timings,
-        )
-        t_enc = time.monotonic() - t0
-        metrics = {
-            "pid": pid,
-            "rows": table.num_rows,
-            "n_tok": int(spec.get("n_tok", 0)),
-            "bytes_in": int(table.nbytes),
-            "bytes_out": len(blob),
-            "read_s": round(t_read, 4),
-            "encode_s": round(t_enc, 4),
-            "zstd_s": round(timings["zstd_s"], 4),
-            "read_group": read_group,
-            "resumed": False,
-        }
-        man = mf.write_partition(
-            self.out_dir, pid, blob, lineage, metrics, self.fp,
-            codecs=codec_summary(read_header(blob)),
+        man = mf.write_block(
+            self.out_dir, mf.part_stem(pid), table, {"pid": pid, "lineage": lineage},
+            zstd=self.zstd, bloom_cols=self.bloom_cols,
+            metrics={
+                "pid": pid,
+                "n_tok": int(spec.get("n_tok", 0)),
+                "read_s": round(t_read, 4),
+                "read_group": read_group,
+                "resumed": False,
+            },
+            pid=pid, fingerprint=self.fp, lineage=lineage,
         )
         return man["metrics"]
 

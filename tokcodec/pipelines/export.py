@@ -42,7 +42,9 @@ class TokenBinDatasink(Datasink):
         self.id_col = id_col
 
     def on_write_start(self):
+        self._claimed = False
         mf.claim_out_dir(self.out_dir, ".bin")
+        self._claimed = True
 
     @property
     def supports_distributed_writes(self) -> bool:
@@ -136,8 +138,11 @@ class TokenBinDatasink(Datasink):
         )
 
     def on_write_failed(self, error: Exception) -> None:
-        with open(os.path.join(self.out_dir, "_FAILED"), "w") as f:
-            f.write(str(error))
+        # Ray also calls this when on_write_start refused the dir: that
+        # dir holds another write's files and gets no marker
+        if self._claimed:
+            with open(os.path.join(self.out_dir, "_FAILED"), "w") as f:
+                f.write(str(error))
 
 
 def export_token_bin(tokb_dir: str, out_dir: str) -> dict:

@@ -108,7 +108,9 @@ def encode_stats(table: str = "documents"):
     def run(sf_dir: str):
         out = _sink(_rp(sf_dir, table), f"stats_{table}", sf_dir)
         keys = ("rows", "bytes_in", "bytes_out")
-        return pa.Table.from_pylist([{k: m[k] for k in keys} for m in mf.list_manifests(out)])
+        return pa.Table.from_pylist(
+            [{k: m["metrics"][k] for k in keys} for m in mf.list_manifests(out)]
+        )
 
     return run
 

@@ -7,9 +7,9 @@ wrong cost model: the new columns are a fraction of a percent of the
 corpus bytes.  `append_columns` decodes only the input columns it
 needs from each base block, computes the new columns, and writes them
 as a parallel TOKB block under `enc_dir/sidecar-<name>/` — one sidecar
-block per base block, same row order, atomic write + manifest, and
-resumable (existing valid sidecars are skipped, stale ones — base
-block changed — are rewritten).
+block per base block, same row order, atomic write + manifest
+(`manifest.write_block`), and resumable (existing valid sidecars are
+skipped, stale ones — base block changed — are rewritten).
 
 Sidecars live in a SUBDIRECTORY on purpose: the base dir's manifest
 scan (`manifest.list_manifests`) must never see them, or decode_dataset
@@ -19,7 +19,7 @@ would concatenate sidecar rows as extra base rows.
 through the one TOKB read path (`sources.datasource.read_blocks`), each
 base block a read item with its sidecar blocks.  Before any task runs
 it checks that every sidecar was built from exactly this base block
-(rows + recorded base checksum) — a stale sidecar fails
+(its recorded base size, checksum and rows) — a stale sidecar fails
 loudly, never silently misaligns.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 
 from tokcodec import manifest as mf
-from tokcodec.blocks import decode_file, encode_table, header_schema, read_header_file
+from tokcodec.blocks import decode_file, header_schema, read_header_file
 from tokcodec.pipelines.encode import checked_manifests
 from tokcodec.sources.datasource import block_weight, read_blocks, run_tasks
 
@@ -38,16 +38,12 @@ def _sidecar_dir(enc_dir: str, name: str) -> str:
 
 
 def _base_identity(man: dict) -> dict:
-    """What a sidecar records about its base block to detect staleness.
-    Tolerates both manifest layouts: planned-path (block_bytes +
-    checksum + metrics.rows) and TokbDatasink (bytes_out + rows)."""
-    ident = {"base_bytes": man.get("block_bytes", man.get("bytes_out"))}
-    if "checksum" in man:
-        ident["base_checksum"] = man["checksum"]
-    rows = man.get("rows", (man.get("metrics") or {}).get("rows"))
-    if rows is not None:
-        ident["base_rows"] = rows
-    return ident
+    """What a sidecar records about its base block to detect staleness."""
+    return {
+        "base_bytes": man["block_bytes"],
+        "base_checksum": man["checksum"],
+        "base_rows": man["metrics"]["rows"],
+    }
 
 
 def append_columns(
@@ -93,21 +89,12 @@ def append_columns(
         clash = sorted(set(new_t.column_names) & base_names)
         if clash:
             raise ValueError(f"sidecar columns clash with base schema: {clash}")
-        stem = row["block"].removesuffix(".tokb")
-        blob = encode_table(
-            new_t.combine_chunks(), meta={"base": row["block"], "sidecar": name},
-            zstd=zstd,
+        man = mf.write_block(
+            sc_dir, row["block"].removesuffix(".tokb"), new_t,
+            {"base": row["block"], "sidecar": name}, zstd=zstd,
+            base=row["block"], **row["ident"],
         )
-        mf.atomic_write_bytes(os.path.join(sc_dir, stem + ".tokb"), blob)
-        man = {
-            "block": stem + ".tokb",
-            "base": row["block"],
-            "rows": new_t.num_rows,
-            "bytes_out": len(blob),
-            **row["ident"],
-        }
-        mf.atomic_write_json(os.path.join(sc_dir, stem + ".manifest.json"), man)
-        return [{"block": man["block"], "rows": man["rows"]}]
+        return [{"block": man["block"], "rows": man["metrics"]["rows"]}]
 
     res = run_tasks(todo, _build)
     written = len(res)

@@ -102,15 +102,8 @@ def run_tasks(
 
 def block_weight(man: dict) -> int:
     """A block's read weight from its manifest: the decoded bytes it was
-    encoded from (`metrics.bytes_in` on planned manifests, `bytes_in` on
-    sink and compaction manifests), else its stored bytes."""
-    return int(
-        (man.get("metrics") or {}).get("bytes_in")
-        or man.get("bytes_in")
-        or man.get("block_bytes")
-        or man.get("bytes_out")
-        or 1
-    )
+    encoded from (`metrics.bytes_in`)."""
+    return int(man["metrics"]["bytes_in"])
 
 
 def block_prunable(files: tuple[str, ...], predicate) -> bool:

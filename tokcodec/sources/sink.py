@@ -3,17 +3,16 @@
 The streaming counterpart of the planned `encode_dataset` path — blocks
 arrive from the streaming executor with backpressure, each write task
 encodes its blocks and writes `part-<task>-<seq>.tokb` + manifest
-atomically, and `on_write_complete` drops a `_SUCCESS` summary.  Unlike
-the planned path, partition identity follows executor task ids (stable
-only per execution), so resume semantics are at-least-once per run
-rather than cross-run; use `encode_dataset` when cross-run resume
-matters.  This is the analog of the reference's MR output format
+atomically through `manifest.write_block`, and `on_write_complete`
+drops a `_SUCCESS` summary.  Unlike the planned path, partition
+identity follows executor task ids (stable only per execution), so
+resume semantics are at-least-once per run rather than cross-run; use
+`encode_dataset` when cross-run resume matters.  This is the analog of the reference's MR output format
 (ExampleParquetOutputFormat.java:7-14) in idiomatic Ray Data.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Iterable
@@ -22,7 +21,6 @@ import pyarrow as pa
 from ray.data import Datasink
 
 from tokcodec import manifest as mf
-from tokcodec.blocks import encode_table
 from tokcodec.sources.datasource import read_blocks
 
 
@@ -42,7 +40,9 @@ class TokbDatasink(Datasink):
         self.bloom_cols = bloom_cols
 
     def on_write_start(self):
+        self._claimed = False
         mf.claim_out_dir(self.out_dir, ".tokb")
+        self._claimed = True
 
     @property
     def supports_distributed_writes(self) -> bool:
@@ -63,39 +63,28 @@ class TokbDatasink(Datasink):
                 continue
             if self.schema is not None:
                 self.schema.validate_table(t)  # fail fast, with field context
-            name = f"part-{ctx.task_idx:05d}-{seq:03d}"
-            blob = encode_table(
-                t, meta={"task": ctx.task_idx, "seq": seq}, zstd=self.zstd,
+            out.append(mf.write_block(
+                self.out_dir, f"part-{ctx.task_idx:05d}-{seq:03d}", t,
+                {"task": ctx.task_idx, "seq": seq}, zstd=self.zstd,
                 bloom_cols=self.bloom_cols,
-            )
-            path = os.path.join(self.out_dir, name + ".tokb")
-            mf.atomic_write_bytes(path, blob)
-            man = {
-                "block": name + ".tokb",
-                "rows": t.num_rows,
-                "bytes_out": len(blob),
-                "bytes_in": int(t.nbytes),
-                # parity with the planned path's manifests: lets sidecar
-                # staleness checks (and any integrity audit) use content
-                # identity, not just size
-                "checksum": hashlib.sha256(blob).hexdigest(),
-            }
-            mf.atomic_write_json(os.path.join(self.out_dir, name + ".manifest.json"), man)
-            out.append(man)
+            ))
         return out
 
     def on_write_complete(self, write_result) -> None:
         all_manifests = [m for task in write_result.write_returns for m in task]
         summary = {
             "blocks": len(all_manifests),
-            "rows": sum(m["rows"] for m in all_manifests),
-            "bytes_out": sum(m["bytes_out"] for m in all_manifests),
+            "rows": sum(m["metrics"]["rows"] for m in all_manifests),
+            "bytes_out": sum(m["block_bytes"] for m in all_manifests),
         }
         mf.atomic_write_json(os.path.join(self.out_dir, "_SUCCESS"), summary)
 
     def on_write_failed(self, error: Exception) -> None:
-        with open(os.path.join(self.out_dir, "_FAILED"), "w") as f:
-            f.write(str(error))
+        # Ray also calls this when on_write_start refused the dir: that
+        # dir holds another write's files and gets no marker
+        if self._claimed:
+            with open(os.path.join(self.out_dir, "_FAILED"), "w") as f:
+                f.write(str(error))
 
 
 def read_tokb(out_dir: str, columns: list[str] | None = None, predicate=None):
