@@ -21,14 +21,6 @@ _REPO = os.path.dirname(os.path.abspath(__file__))
 if _REPO not in sys.path:
     sys.path.insert(0, _REPO)
 
-# THP first-touch faults are ~130x slower than 4 KiB faults on this
-# sandbox (snapshot-restored guest memory); tokcodec's import hook
-# disables numpy's THP madvise in every process that loads the package,
-# and the env var covers workers that import numpy first.  See
-# tokcodec.__init__._disable_numpy_thp_madvise.
-os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
-import tokcodec  # noqa: E402,F401  (applies the THP fix in this process)
-
 
 def _register_by_value() -> None:
     """Ray workers spawned by a driver whose cwd/PYTHONPATH don't include

@@ -26,13 +26,6 @@ import subprocess
 import sys
 import time
 
-# Before any numpy import (here or in forked Ray workers): this sandbox
-# serves 2 MiB THP faults ~130x slower than 4 KiB faults after snapshot
-# restore — see tokcodec.__init__._disable_numpy_thp_madvise, which is
-# the in-process fix; the env var covers processes that import numpy
-# before tokcodec.
-os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
-
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 SF_NAME = os.path.basename(SF_DIR.rstrip("/")) or "sf0.1"
@@ -44,24 +37,29 @@ N_ROWS = _ROWS.get(SF_NAME, 200_000)
 # which would bottleneck every parallelism level identically — a real
 # cluster has node-local disks whose aggregate bandwidth scales with N.
 # tmpfs emulates storage-that-scales so the 8-vs-32 measurement reflects
-# the engine, not the single-VM disk.  Falls back to /tmp if shm is tiny
-# (containers often mount a 64 MB /dev/shm — the sf0.1 fixture + encode
-# output need several GB).
+# the engine, not the single-VM disk.  Falls back to /tmp if shm has
+# under 8 GiB free (containers often mount a 64 MB /dev/shm — the sf0.1
+# fixture + encode output need several GB); the result JSON records the
+# base dir and its free GiB.
 
 
-def _pick_base() -> str:
-    shm = "/dev/shm"
-    if os.path.isdir(shm):
-        try:
-            st = os.statvfs(shm)
-            if st.f_frsize * st.f_bavail >= 8 << 30:
-                return f"{shm}/tokcodec_bench"
-        except OSError:
-            pass
-    return "/tmp/tokcodec_bench"
+def _free_gib(path: str) -> float:
+    st = os.statvfs(path)
+    return st.f_frsize * st.f_bavail / 2**30
 
 
-_BASE = _pick_base()
+def _pick_base() -> tuple[str, float]:
+    """The bench's base dir and the GiB free on its filesystem."""
+    try:
+        shm_free = _free_gib("/dev/shm")
+        if shm_free >= 8:
+            return "/dev/shm/tokcodec_bench", shm_free
+    except OSError:
+        pass
+    return "/tmp/tokcodec_bench", _free_gib("/tmp")
+
+
+_BASE, _BASE_FREE_GIB = _pick_base()
 FIXTURE = f"{_BASE}/{SF_NAME}_tokens_v3"  # multi-file dir
 
 
@@ -74,113 +72,8 @@ def _warm_worker():
     return 0
 
 
-def _touch_mb(n_mb: int) -> int:
-    # one write per 4 KiB page; chunked so no process holds > 256 MB
-    chunk = 256
-    done = 0
-    while done < n_mb:
-        buf = bytearray(min(chunk, n_mb - done) * 1024 * 1024)
-        for off in range(0, len(buf), 4096):
-            buf[off] = 1
-        done += min(chunk, n_mb - done)
-        del buf
-    return done
-
-
-def _cpu_probe_s() -> float:
-    """Seconds for a small in-cache numpy kernel (~0.1 s on a healthy
-    core).  Distinguishes 'page faults are slow' (warming helps) from
-    'the whole vCPU is degraded' (warming is wasted effort)."""
-    import numpy as np
-
-    x = (np.arange(2_000_000, dtype=np.int64) * 2654435761) % 977
-    t0 = time.monotonic()
-    for _ in range(3):
-        np.sort(x)
-    return time.monotonic() - t0
-
-
-def _warm_guest_memory() -> dict:
-    """Pre-fault guest RAM (untimed cluster prep, like the worker-pool
-    warm-up).  This sandbox VM restores from a snapshot with lazily
-    faulted memory: the FIRST touch of each page traps to the hypervisor
-    at ~7 MB/s per process (measured 2026-08-17: np.ones(800 MB) took
-    109 s cold, 0.05 s warm), which made every cold bench/pipeline run
-    look 50-500x slow.  A parallel page-stride pass pre-pays those
-    faults (~0.9 GB/s with 32 workers).  Probes first: skips when fresh
-    pages already fault at memory speed, and also when the vCPU itself
-    is degraded (host throttle window — warming can't fix that and
-    would burn minutes); both probe values are reported in the bench
-    JSON so a throttled snapshot is recognizable."""
-    import multiprocessing as mp
-
-    cpu_s = _cpu_probe_s()
-    t0 = time.monotonic()
-    probe_mb = 256
-    _touch_mb(probe_mb)
-    probe_rate = probe_mb / max(time.monotonic() - t0, 1e-9)
-    stats = {"warm_probe_mb_s": round(probe_rate), "cpu_probe_s": round(cpu_s, 2),
-             "warmed_gb": 0, "warm_s": 0.0}
-    if probe_rate > 800:  # fresh pages already fault at memory speed
-        return stats
-    if cpu_s > 1.0:  # vCPU degraded: faults aren't the (only) problem
-        return stats
-    total_mb = int(os.environ.get("TOKCODEC_WARM_GB", "48")) * 1024
-    nproc = _probe_cpus()
-    with mp.Pool(nproc) as p:
-        p.map(_touch_mb, [total_mb // nproc] * nproc)
-    stats["warmed_gb"] = total_mb // 1024
-    stats["warm_s"] = round(time.monotonic() - t0, 1)
-    return stats
-
-
-def _wait_for_healthy_cpu(max_wait_s: float = 150.0, bar_s: float = 0.25) -> dict:
-    """Throttle-recovery gate.  This host throttles HARD under sustained
-    all-core load (cpu probe degrades up to 30x) and recovers within
-    ~tens of seconds once load drops — so untimed prep work (fixture
-    generation, warm-up encodes) poisons the timed runs that follow it.
-    Sit idle until the single-core probe is back under `bar_s` (healthy
-    ~0.06-0.15 s) or `max_wait_s` elapses; report what happened so a
-    still-throttled snapshot is recognizable in the JSON."""
-    t0 = time.monotonic()
-    probe = _cpu_probe_s()
-    while probe > bar_s and time.monotonic() - t0 < max_wait_s:
-        time.sleep(10.0)
-        probe = _cpu_probe_s()
-    return {"recovery_wait_s": round(time.monotonic() - t0, 1),
-            "cpu_probe_at_timing_s": round(probe, 3),
-            "recovery_gave_up": probe > bar_s}
-
-
-# share of the probed cores the parallel-headroom gate waits for (21 of
-# 32 on the host these gates were tuned on)
-_HEADROOM_SHARE = 21 / 32
-
-
-def _wait_for_parallel_headroom(max_wait_s: float = 240.0) -> dict:
-    """Parallel-ceiling gate.  The single-core probe can read healthy
-    while the host caps SUSTAINED all-core work at ~12 of 32 cores (a
-    17.4 s encode at probe 0.058 s decomposed exactly to core_seconds /
-    effective_cores) — so gate the timed section on the measured
-    parallel ceiling itself, not single-core latency.  Waits for
-    ``_HEADROOM_SHARE`` of the probed cores; probes are ~2 s bursts
-    every 15 s.  Reports the ceiling seen at timing and whether the
-    wait ran out first."""
-    bar_cores = _HEADROOM_SHARE * _probe_cpus()
-    t0 = time.monotonic()
-    eff = _effective_cores()
-    while eff < bar_cores and time.monotonic() - t0 < max_wait_s:
-        time.sleep(15.0)
-        eff = _effective_cores()
-    return {"headroom_wait_s": round(time.monotonic() - t0, 1),
-            "cores_at_timing": eff, "headroom_gave_up": eff < bar_cores}
-
-
 def run_bench() -> dict:
     import ray
-
-    warm_stats = _warm_guest_memory()  # must precede ray.init: workers +
-    # object store then start on already-faulted pages
 
     ray.init(
         address="local",
@@ -225,12 +118,6 @@ def run_bench() -> dict:
     encode_dataset(FIXTURE, warm_dir, target_tokens=8_000_000)
     shutil.rmtree(warm_dir, ignore_errors=True)
 
-    # the prep above (fixture gen + warm-up) can push the host into its
-    # load-induced throttle window; let it recover before timing
-    recovery = _wait_for_healthy_cpu()
-    recovery.update(_wait_for_parallel_headroom())
-    gave_up = []  # the later headroom gates that timed out, by stage
-
     # best-of-2: this host's sustained CPU fluctuates minute-to-minute
     # (see BASELINE.md's effective-cores probes, 3.1-10.4 of 32 within
     # one session); min-of-two bounds the throttle-window exposure while
@@ -239,9 +126,6 @@ def run_bench() -> dict:
     encode_runs = []
     best = None
     for _rep in range(3 if NUM_CPUS >= 32 else 2):
-        # each rep re-throttles the host; let it breathe
-        if _rep and _wait_for_parallel_headroom(max_wait_s=150.0)["headroom_gave_up"]:
-            gave_up.append(f"encode_rep{_rep}")
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.monotonic()
         r = encode_dataset(FIXTURE, out_dir, target_tokens=8_000_000)
@@ -268,8 +152,6 @@ def run_bench() -> dict:
         raise RuntimeError(f"decode row count {n_dec} != {N_ROWS}")
     decode_runs = []
     for _rep in range(2):
-        if _wait_for_parallel_headroom(max_wait_s=90.0)["headroom_gave_up"]:
-            gave_up.append(f"decode_rep{_rep}")
         t0 = time.monotonic()
         n_dec = decode_dataset(out_dir).count()
         decode_runs.append(round(time.monotonic() - t0, 3))
@@ -320,16 +202,12 @@ def run_bench() -> dict:
         lambda b: _pa.table({"s": [_pa.compute.sum(b["n_tok"]).as_py()]}),
         batch_format="pyarrow",
     )
-    if _wait_for_parallel_headroom(max_wait_s=90.0)["headroom_gave_up"]:
-        gave_up.append("tokenize")
     t0 = time.monotonic()
     tok_ntok = int(tok_ds.sum("s"))
     tokenize_s = time.monotonic() - t0
     queries["tokenize_documents"] = round(tokenize_s, 3)
 
     # per-query timings over the SF dir tables
-    if _wait_for_parallel_headroom(max_wait_s=60.0)["headroom_gave_up"]:
-        gave_up.append("queries")
     qs = build_queries()
     for name in [
         "roundtrip_documents",
@@ -369,9 +247,8 @@ def run_bench() -> dict:
         # sustained-core ceiling measured right after the timed runs
         "effective_cores": _effective_cores(),
         "probe_cpus": _probe_cpus(),
-        **warm_stats,
-        **recovery,
-        "headroom_gave_up_at": gave_up,
+        "base_dir": _BASE,
+        "base_free_gib": round(_BASE_FREE_GIB, 1),
     }
     try:
         # worker teardown on this sandbox occasionally dumps a logging.cc

@@ -2,13 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-# See tokcodec.__init__._disable_numpy_thp_madvise: THP first-touch
-# faults are pathologically slow on this sandbox; env var covers any
-# worker process that imports numpy before tokcodec.
-os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
-
 import pytest
 
 

@@ -99,3 +99,26 @@ def test_write_side_modules_do_not_load_ray_data():
         capture_output=True, text=True, check=True, cwd="/tmp",
     )
     assert out.stdout.split() == ["False"]
+
+
+def test_import_has_no_thp_side_effect():
+    """Importing tokcodec leaves numpy's huge-page hint as it was and
+    adds no env var but glibc's two malloc thresholds."""
+    import json
+    import subprocess
+    import sys as _sys
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    out = subprocess.run(
+        [_sys.executable, "-c",
+         "import json, os, sys; sys.path.insert(0, %r)\n"
+         "from numpy._core import multiarray as ma\n"
+         "env, thp = dict(os.environ), ma._get_madvise_hugepage()\n"
+         "import tokcodec\n"
+         "print(json.dumps({'thp': [thp, ma._get_madvise_hugepage()], 'env': sorted(\n"
+         "    k for k, v in os.environ.items() if env.get(k) != v)}))" % REPO],
+        capture_output=True, text=True, check=True, cwd="/tmp", env=env,
+    )
+    got = json.loads(out.stdout)
+    assert got["thp"][1] == got["thp"][0]
+    assert got["env"] == ["MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"]

@@ -112,10 +112,10 @@ def test_resume_detects_truncated_block(encoded, tmp_path):
     assert redone == [0]
 
 
-def test_resume_tolerates_manifest_without_metrics(encoded, tmp_path):
-    """A complete manifest from an older/foreign layout missing the
-    'metrics' dict must RESUME (with None metric values), not KeyError
-    the run — the plan fingerprint covers config, not code version."""
+def test_resume_reencodes_manifest_without_metrics(encoded, tmp_path):
+    """A manifest without the one schema's 'metrics' dict is not a
+    complete partition: resume re-encodes it, and decode then reads
+    every source row instead of refusing the dir."""
     import json
 
     src, out, _ = encoded
@@ -128,9 +128,9 @@ def test_resume_tolerates_manifest_without_metrics(encoded, tmp_path):
     with open(mp, "w") as f:
         json.dump(man, f)
     res = encode_dataset(src, out2, target_tokens=TARGET)
-    m0 = next(m for m in res["metrics"] if m["pid"] == 0)
-    assert m0["resumed"] and m0["rows"] is None  # metrics unknown, run alive
-    assert all(m["resumed"] for m in res["metrics"])
+    redone = sorted(m["pid"] for m in res["metrics"] if not m["resumed"])
+    assert redone == [0]
+    assert decode_dataset(out2).count() == pq.read_table(src).num_rows
 
 
 def test_manifests_record_container_zstd_and_write_times(encoded, tmp_path):

@@ -15,50 +15,21 @@ owned by the caller (driver, bench.py, CLI, test fixture).
 __version__ = "0.1.0"
 
 
-def _disable_numpy_thp_madvise() -> None:
-    """Turn off numpy's madvise(MADV_HUGEPAGE) on large allocations.
-
-    This sandbox VM restores from a hypervisor snapshot with lazily
-    faulted guest memory.  A 4 KiB first-touch fault is served at
-    ~900 MB/s, but a 2 MiB transparent-huge-page fault is served at
-    ~7 MB/s — so numpy's default THP hint (policy [madvise] on this
-    kernel) made every first touch of a large array ~130x slower
-    (measured 2026-08-17: np.ones over 128 MB fresh = 18.6 s with the
-    hint, 0.08 s without).  Every entry path (driver, Ray workers,
-    tests, bench) imports tokcodec, so toggling here fixes all
-    processes regardless of env-var propagation.  Harmless on healthy
-    hosts: THP saves TLB misses worth a few percent at most, while the
-    downside here is two orders of magnitude.  No-op if the private
-    numpy hook moves (then NUMPY_MADVISE_HUGEPAGE=0 is the fallback)."""
-    try:
-        try:
-            from numpy._core import multiarray as _ma  # numpy >= 2
-        except ImportError:  # pragma: no cover - numpy 1.x layout
-            from numpy.core import multiarray as _ma  # type: ignore
-        _ma._set_madvise_hugepage(False)
-    except Exception:  # pragma: no cover - future numpy without the hook
-        pass
-
-
-_disable_numpy_thp_madvise()
-
-
 def _tune_malloc_for_lazy_guest_memory() -> None:
     """Keep large buffers in the (already-faulted) heap arena instead
     of fresh mmaps.
 
-    Same root cause as the THP fix: this VM's guest memory is lazily
-    faulted from a hypervisor snapshot, and fault service degrades to
-    single-digit MB/s under load.  glibc returns every large (>128 KB)
-    allocation's mmap to the OS on free, so EVERY numpy temporary in a
-    hot loop re-faults its pages — measured 2026-08-17: a reused 200 MB
-    array cost 1.6-12.9 s per iteration with default malloc vs 0.00 s
-    with a raised mmap/trim threshold (warm-heap reuse).  Raise both
-    thresholds to 2 GB via mallopt (runtime, this process) and export
-    the glibc env knobs so Ray workers / subprocesses start with the
-    same behavior.  Trade-off: a worker may hold its peak arena (~GBs
-    for the heaviest tasks) instead of returning it — acceptable on a
-    128 GiB single-node box and irrelevant on healthy hosts."""
+    glibc returns every large (>128 KB) allocation's mmap to the OS on
+    free, so each numpy temporary in a hot loop faults its pages in
+    again.  Raise the mmap and trim thresholds to 2 GiB via mallopt (this
+    process) and export the glibc env knobs so Ray workers and
+    subprocesses start with the same behavior.  It pays on decode
+    (perfbench tokens_decode, 4-CPU 15 GiB host, alternating pairs):
+    dropping it together with numpy's THP hint raised the op_vs_parquet
+    median 0.385 -> 0.416 (+8%, worse on 5 of 5 pairs, seeds 911-915) at
+    peak RSS 208 -> 203 MB, while dropping the THP hint alone moved it
+    0.360 -> 0.369 (3 of 4 pairs worse, seeds 916-919, RSS equal).
+    Trade-off: a worker may hold its peak arena instead of returning it."""
     import ctypes
     import os
 

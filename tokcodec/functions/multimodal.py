@@ -150,11 +150,6 @@ def payload_meta(batch: pa.Table, payload_col: str = "payload") -> pa.Table:
     )
 
 
-def decode_video_frames(payload: bytes):
-    """Real implementation requires a video codec library."""
-    raise NotImplementedError("video decode requires ffmpeg/pyav (not in this env)")
-
-
 class FrameSampler:
     """Actor-pool stage: explode each video payload into every-k-th-frame
     rows (one row in → many out) — the flat_map-shaped plumbing a real
@@ -165,10 +160,8 @@ class FrameSampler:
 
     FRAME_BYTES = 4096  # fake fixed-size frame
 
-    def __init__(self, every_k: int = 10, real: bool = False):
+    def __init__(self, every_k: int = 10):
         self.every_k = every_k
-        self.real = real
-        # real init: open the codec context once per actor
 
     def _fake_frames(self, payload: bytes) -> list[tuple[int, bytes]]:
         """(frame_index, frame) pairs — the index travels WITH the frame
@@ -180,8 +173,6 @@ class FrameSampler:
         ]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.real:
-            raise NotImplementedError("real video decode not available in this env")
         ids = batch.column("media_id").to_pylist()
         out_ids, out_fidx, out_frames = [], [], []
         for mid, payload in zip(ids, batch.column("payload").to_pylist()):

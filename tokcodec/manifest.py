@@ -156,21 +156,22 @@ def load_manifest(out_dir: str, pid: int) -> dict | None:
         return None
 
 
+def has_schema(man: dict) -> bool:
+    """Whether `man` carries the one manifest schema's common keys."""
+    return "block" in man and "block_bytes" in man and isinstance(man.get("metrics"), dict)
+
+
 def load_if_complete(out_dir: str, pid: int, fp: str) -> dict | None:
     """Single-read resume check: return the manifest when the partition
     is complete under ``fp``, else None.  One open+parse per partition:
     the resume hot path is 100k+ partitions of small-file round trips.
-    Manifests missing expected keys (older / foreign layouts) count as
-    not-complete — re-encode, never KeyError the run."""
+    A manifest without the one schema counts as not-complete, so its
+    partition is re-encoded (a reader would refuse it)."""
     man = load_manifest(out_dir, pid)
-    if man is None or man.get("fingerprint") != fp:
+    if man is None or man.get("fingerprint") != fp or not has_schema(man):
         return None
-    block, size = man.get("block"), man.get("block_bytes")
-    if block is None or size is None:
-        return None
-    bp = os.path.join(out_dir, block)
     try:
-        if os.path.getsize(bp) != size:
+        if os.path.getsize(os.path.join(out_dir, man["block"])) != man["block_bytes"]:
             return None
     except OSError:
         return None
@@ -203,10 +204,10 @@ def list_manifests(out_dir: str) -> list[dict]:
         if name.endswith(".manifest.json"):
             with open(os.path.join(out_dir, name)) as f:
                 man = json.load(f)
-            if "block_bytes" not in man or "metrics" not in man:
+            if not has_schema(man):
                 raise ValueError(
                     f"{os.path.join(out_dir, name)} predates the one manifest "
-                    "schema (no block_bytes/metrics); rewrite this dir"
+                    "schema (no block/block_bytes/metrics); rewrite this dir"
                 )
             out.append(man)
     return out

@@ -378,15 +378,8 @@ class EncodeWorker:
             if man is None or man.get("lineage") != _lineage(spec):
                 todo.append(spec)
                 continue
-            # .get at BOTH levels: a complete manifest from an older
-            # metrics layout must resume, not KeyError the run (the plan
-            # fingerprint covers config, not code version)
-            metrics = man.get("metrics") or {}
-            m = {k: metrics.get(k) for k in _METRIC_KEYS}
-            m["pid"] = pid  # always known from the spec, even when the
-            # manifest's metrics dict is absent/foreign
-            m["resumed"] = True
-            done[pid] = m
+            m = {k: man["metrics"].get(k) for k in _METRIC_KEYS}
+            done[pid] = dict(m, pid=pid, resumed=True)
         if todo:
             tables, t_read = _read_slices(todo, self.columns)
             for spec, table in zip(todo, tables):

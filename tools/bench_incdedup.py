@@ -31,7 +31,6 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-os.environ.setdefault("NUMPY_MADVISE_HUGEPAGE", "0")
 
 
 def _synth_corpus(root: str, n: int, shards: int = 32) -> tuple[str, str]:
