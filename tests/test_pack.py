@@ -215,3 +215,36 @@ def test_pack_reads_each_shared_span_once(tmp_path, monkeypatch):
         for n in names:
             assert pq.read_table(tmp_path / "shared" / sub / n).equals(
                 pq.read_table(tmp_path / "own" / sub / n)), (sub, n)
+
+
+def test_pack_writes_every_chunk_and_fragment_durably(tmp_path, monkeypatch):
+    """Every chunk, fragment and stitched file is written through the
+    fsync'd `manifest.atomic_write_bytes`, so the state marker written
+    after a partition's files never vouches for a file that did not
+    reach the disk."""
+    from tokcodec import manifest
+    from tokcodec.pipelines.encode import plan_partitions
+
+    p = str(tmp_path / "tok.parquet")
+    write_fixture(p, n_rows=600, seed=5, row_group_size=100)
+    specs = plan_partitions(p, target_tokens=20_000, parallel=False)["partitions"]
+    bases = np.concatenate(([0], np.cumsum([s["n_tok"] for s in specs])))
+    written = []
+    real = manifest.atomic_write_bytes
+    monkeypatch.setattr(
+        manifest, "atomic_write_bytes",
+        lambda path, data: written.append(path) or real(path, data),
+    )
+    out = str(tmp_path / "out")
+    for i, s in enumerate(specs):
+        pack._pack_group([{**s, "base": int(bases[i])}], L, out, "fp", "doc_id", "tokens")
+    pack._merge_fragments(
+        os.path.join(out, "fragments"), os.path.join(out, "chunks", "stitched.parquet")
+    )
+    files = [
+        os.path.join(out, sub, n)
+        for sub in ("chunks", "fragments")
+        for n in os.listdir(os.path.join(out, sub))
+    ]
+    assert len(files) == 2 * len(specs) + 1
+    assert set(files) <= set(written)

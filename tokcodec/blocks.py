@@ -36,7 +36,7 @@ from tokcodec.codecs import (
 )
 from tokcodec.codecs.intcodecs import _node
 from tokcodec.codecs.util import zstd_lazy
-from tokcodec.projection import Projection, project_schema, resolve_path
+from tokcodec.projection import Projection, column_tree, resolve_path
 
 # Format version: bump on any change a reader of the old format cannot
 # decode (a new or removed codec, a layout change).  Readers accept only
@@ -200,19 +200,9 @@ def _validity_buffer(mask: np.ndarray | None):
 
 def decode_array(enc: dict, t: pa.DataType) -> pa.Array:
     if pa.types.is_dictionary(t):
-        if enc["m"]["kind"] == "dictenc":
-            idx = decode_array(enc["k"]["idx"], t.index_type)
-            dic = decode_array(enc["k"]["dict"], t.value_type)
-            return pa.DictionaryArray.from_arrays(idx, dic, ordered=t.ordered)
-        # legacy logical-value storage: re-encode on exit
-        d = pc.dictionary_encode(decode_array(enc, t.value_type))
-        if d.type != t:
-            d = pa.DictionaryArray.from_arrays(
-                d.indices.cast(t.index_type),
-                d.dictionary.cast(t.value_type),
-                ordered=t.ordered,
-            )
-        return d
+        idx = decode_array(enc["k"]["idx"], t.index_type)
+        dic = decode_array(enc["k"]["dict"], t.value_type)
+        return pa.DictionaryArray.from_arrays(idx, dic, ordered=t.ordered)
     kind = enc["m"]["kind"]
     k = enc["k"]
     mask = None
@@ -596,27 +586,11 @@ def header_schema(header: dict) -> pa.Schema:
 def decode_file(
     path: str, columns: list[str] | None = None, predicate=None
 ) -> tuple[pa.Table, dict]:
-    """Decode one block file with predicate-pushdown block skipping:
-    the header is read first; if the predicate's zone-map check proves no
-    row can match, the payload is never read and an empty (correctly
-    pruned) table returns.  Matching blocks decode then re-filter
-    residually — exact WHERE semantics either way.  Predicate columns
-    outside `columns` are decoded for the filter, then dropped, so the
-    projection contract holds whether or not a block was pruned."""
-    if predicate is not None:
-        # the header pre-read exists ONLY for zone-map skipping; without
-        # a predicate it would be a wasted open+parse per block (the
-        # common decode_dataset path), since decode_table re-reads the
-        # header from the blob anyway
-        header = read_header_file(path)
-        if not predicate.stats_may_match(header_stats(header)):
-            schema = header_schema(header)
-            if columns is not None:
-                missing = {c.split(".")[0] for c in columns} - set(schema.names)
-                if missing:
-                    raise ValueError(f"Invalid fields: {sorted(missing)}")
-                schema = project_schema(schema, list(columns))
-            return schema.empty_table(), header["meta"]
+    """Decode one block file, then filter it by `predicate` residually
+    (exact WHERE semantics).  Zone-map block skipping happens before the
+    read (`sources/datasource.py::read_blocks`), so a block read here
+    may still match.  Predicate columns outside `columns` are decoded
+    for the filter, then dropped, so the projection contract holds."""
     decode_cols = columns
     if predicate is not None and columns is not None:
         # widen by the predicate's TOP-LEVEL columns (full decode — the
@@ -629,29 +603,9 @@ def decode_file(
         t, meta = decode_table(f.read(), columns=decode_cols)
     if predicate is not None:
         t = predicate.filter_table(t)
-        if decode_cols is not columns and columns is not None:
+        if decode_cols is not columns:
             t = Projection(list(columns)).project_table(t)
     return t, meta
-
-
-def _column_tree(columns: list[str]) -> dict:
-    """Requested columns → per-top-level prune trees: value None = the
-    whole (sub)column, else a dict of child name → subtree.  A full
-    request ("a") absorbs any dotted one ("a.b") in either order."""
-
-    def insert(node: dict, name: str, rest: list[str]) -> None:
-        if not rest:
-            node[name] = None  # full subtree, absorbs narrower requests
-            return
-        if name in node and node[name] is None:
-            return  # already requested fully
-        insert(node.setdefault(name, {}), rest[0], rest[1:])
-
-    tree: dict = {}
-    for c in columns:
-        parts = c.split(".")
-        insert(tree, parts[0], parts[1:])
-    return tree
 
 
 def _prune_flat_node(node: dict, t: pa.DataType, prune: dict | None):
@@ -709,12 +663,10 @@ def decode_table(blob: bytes, columns: list[str] | None = None) -> tuple[pa.Tabl
             return zstd_lazy.get().decompress(raw, decompressed_size=s["raw"], asbytes=True)
         return raw
 
-    schema = pa.ipc.read_schema(
-        pa.py_buffer(base64.b64decode(header["schema"]))
-    )
+    schema = header_schema(header)
     tree = None
     if columns is not None:
-        tree = _column_tree(columns)
+        tree = column_tree(columns)
         missing = set(tree) - {c["name"] for c in header["columns"]}
         if missing:
             raise ValueError(f"Invalid fields: {sorted(missing)}")

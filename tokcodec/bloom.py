@@ -12,9 +12,9 @@ Opt-in per column (`bloom_cols=` on encode_table / TokbDatasink /
 encode_dataset): the filter costs ~n×10 bits in the block header, which
 only pays for columns you actually point-look-up.
 
-Hashing: strings/binary use the same vectorized FNV-1a span kernel as
-the dedup stages (two independent bases), ints a splitmix64-style mix
-(two seeds); probes are value-identical scalars of the same functions.
+Hashing (all from `functions/hashing.py`): strings/binary use the
+FNV-1a span kernel of the dedup stages (two independent bases), ints
+splitmix64 (two seeds); probes are the scalar forms of the same hashes.
 Bit positions follow Kirsch–Mitzenmacher double hashing:
 idx_i = (h1 + i·h2) mod m, m a power of two.
 """
@@ -28,53 +28,30 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from tokcodec.functions.hashing import (
-    _FNV_OFFSET,
-    _FNV_OFFSET2,
-    _FNV_PRIME,
-    fnv1a_spans2,
+    _FNV_BASES,
+    _GOLDEN,
+    flat_utf8,
+    fnv1a_spans,
+    hash_str,
+    splitmix64,
 )
 
 _K = 6  # hash count; ~optimal for 10 bits/key, FP ≈ 1%
 _BITS_PER_KEY = 10
 _MIN_BITS = 64
-
-_SM_SEED1 = np.uint64(0x9E3779B97F4A7C15)
-_SM_SEED2 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_SEEDS = (_GOLDEN, 0xBF58476D1CE4E5B9)
 
 
 def _next_pow2(x: int) -> int:
     return 1 << max(0, (x - 1)).bit_length()
 
 
-def _mix64(vals: np.ndarray, seed: np.uint64) -> np.ndarray:
-    """splitmix64 finalizer over uint64 values (vectorized; the scalar
-    probe calls this with a 1-element array so build and probe are
-    value-identical by construction)."""
-    with np.errstate(over="ignore"):
-        h = vals + seed
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return h ^ (h >> np.uint64(31))
-
-
-def _string_hash_pair(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    # normalize to non-null large offsets view
+def _string_hash_pair(arr: pa.Array) -> np.ndarray:
     if arr.null_count:
         arr = arr.drop_null()
-    t = arr.type
-    if pa.types.is_large_string(t) or pa.types.is_large_binary(t):
-        off_dt = np.int64
-    else:
-        off_dt = np.int32
-    offsets = np.frombuffer(arr.buffers()[1], dtype=off_dt)[
-        arr.offset : arr.offset + len(arr) + 1
-    ].astype(np.int64)
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8) if arr.buffers()[2] else np.empty(0, np.uint8)
-    starts = offsets[:-1]
-    lengths = np.diff(offsets)
     # both lanes in ONE shared byte-gather pass (~1.5x, not 2x)
-    return fnv1a_spans2(data, starts, lengths, _FNV_OFFSET, _FNV_OFFSET2)
+    data, off, _ = flat_utf8(arr)
+    return fnv1a_spans(data, off[:-1], np.diff(off), lanes=2)
 
 
 def _int_hash_pair(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -84,29 +61,18 @@ def _int_hash_pair(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     # astype, NOT a checked Arrow cast: uint64 values above int64 max
     # must reinterpret (two's-complement domain), never raise; smaller
     # signed widths sign-extend, matching the scalar probe's domains
-    native = arr.to_numpy(zero_copy_only=False)
-    vals = native.astype(np.uint64)
-    return _mix64(vals, _SM_SEED1), _mix64(vals, _SM_SEED2)
+    vals = arr.to_numpy(zero_copy_only=False).astype(np.uint64)
+    return splitmix64(vals, _SM_SEEDS[0]), splitmix64(vals, _SM_SEEDS[1])
 
 
 def _scalar_hash_pair(value, is_string: bool) -> tuple[int, int] | None:
     if is_string:
-        data = value.encode() if isinstance(value, str) else bytes(value)
-        out = []
-        for basis in (_FNV_OFFSET, _FNV_OFFSET2):
-            h = basis
-            for c in data:
-                h = ((h ^ c) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-            out.append(h)
-        return out[0], out[1]
+        return hash_str(value, _FNV_BASES[0]), hash_str(value, _FNV_BASES[1])
     iv = int(value)
-    if 0 <= iv < 2**64:
-        v = np.array([iv], dtype=np.uint64)
-    elif -(2**63) <= iv < 0:
-        v = np.array([iv], dtype=np.int64).astype(np.uint64)
-    else:
+    if not -(2**63) <= iv < 2**64:
         return None  # outside any 64-bit column's domain: no claim
-    return int(_mix64(v, _SM_SEED1)[0]), int(_mix64(v, _SM_SEED2)[0])
+    v = np.array([iv % 2**64], dtype=np.uint64)
+    return int(splitmix64(v, _SM_SEEDS[0])[0]), int(splitmix64(v, _SM_SEEDS[1])[0])
 
 
 def _supported(t: pa.DataType) -> str | None:
@@ -121,10 +87,10 @@ def _supported(t: pa.DataType) -> str | None:
     return None
 
 
-def build_bloom(arr: pa.Array, bits_per_key: int = _BITS_PER_KEY) -> dict | None:
-    """Bloom over the non-null values of a string/binary/int column →
-    {"m", "k", "b64"} for the block header, or None when the column
-    type is unsupported or all-null."""
+def build_bloom(arr: pa.Array) -> dict | None:
+    """Bloom (`_BITS_PER_KEY` bits per key) over the non-null values of
+    a string/binary/int column → {"m", "k", "t", "b64"} for the block
+    header, or None when the column type is unsupported or all-null."""
     t = arr.type
     kind = _supported(t)
     if kind is None:
@@ -138,7 +104,7 @@ def build_bloom(arr: pa.Array, bits_per_key: int = _BITS_PER_KEY) -> dict | None
         h1, h2 = _string_hash_pair(arr)
     else:
         h1, h2 = _int_hash_pair(arr)
-    m = _next_pow2(max(_MIN_BITS, n * bits_per_key))
+    m = _next_pow2(max(_MIN_BITS, n * _BITS_PER_KEY))
     mask = np.uint64(m - 1)
     bits = np.zeros(m, dtype=bool)
     with np.errstate(over="ignore"):
@@ -153,6 +119,16 @@ def build_bloom(arr: pa.Array, bits_per_key: int = _BITS_PER_KEY) -> dict | None
     }
 
 
+def _bitmap(bloom: dict) -> np.ndarray:
+    """The filter's packed bits, decoded once and cached on the dict:
+    isin() probes the same filter once per candidate value."""
+    packed = bloom.get("_bits")
+    if packed is None:
+        packed = np.frombuffer(base64.b64decode(bloom["b64"]), dtype=np.uint8)
+        bloom["_bits"] = packed
+    return packed
+
+
 def any_might_contain_ints(bloom: dict, arr: pa.Array) -> bool:
     """Vectorized 'could ANY of these int values be in the filter' —
     the file-skip probe for the incremental-dedup shard blooms
@@ -163,14 +139,10 @@ def any_might_contain_ints(bloom: dict, arr: pa.Array) -> bool:
     False = provably no overlap (skip the file)."""
     if bloom.get("t") != "int":
         return True
-    arr = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
     if len(arr) - arr.null_count == 0:
         return False  # no candidates: nothing to look up
     h1, h2 = _int_hash_pair(arr)
-    packed = bloom.get("_bits")
-    if packed is None:
-        packed = np.frombuffer(base64.b64decode(bloom["b64"]), dtype=np.uint8)
-        bloom["_bits"] = packed
+    packed = _bitmap(bloom)
     mask = np.uint64(bloom["m"] - 1)
     alive = np.ones(len(h1), dtype=bool)
     with np.errstate(over="ignore"):
@@ -207,12 +179,7 @@ def might_contain(bloom: dict, value) -> bool:
         return True
     h1, h2 = pair
     m = bloom["m"]
-    packed = bloom.get("_bits")
-    if packed is None:
-        # cache the decoded bitmap on the dict: isin() probes the same
-        # filter once per candidate value — decode once, not per probe
-        packed = np.frombuffer(base64.b64decode(bloom["b64"]), dtype=np.uint8)
-        bloom["_bits"] = packed
+    packed = _bitmap(bloom)
     for i in range(bloom["k"]):
         idx = (h1 + i * h2) % m
         if not (packed[idx >> 3] >> (idx & 7)) & 1:

@@ -26,9 +26,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from tokcodec.functions.hashing import fnv1a_batch, fnv1a_spans
+from tokcodec.functions.hashing import _FNV_PRIME, flat_utf8, fnv1a_batch, fnv1a_spans
 from tokcodec.functions.sortagg import group_slices, sorted_group_apply, sorted_group_reduce
-from tokcodec.functions.text import add_fingerprint, flat_utf8, fnv128, split_words
+from tokcodec.functions.text import add_fingerprint, fnv128, split_words
 
 _M61 = np.uint64((1 << 61) - 1)
 
@@ -106,8 +106,6 @@ def _word_shingles(texts: list[str | None], k: int = 3):
     shingle strings via element-wise joins of k shifted slices, one
     batched FNV pass (values identical to hash_str(' '.join(words[j:j+k]));
     docs with fewer than k words get one ''-padded shingle, as before)."""
-    import pyarrow.compute as pc
-
     if not texts:
         return np.empty(0, np.int64), np.empty(0, np.uint64)
     arr = pa.array([t if t is not None else "" for t in texts], type=pa.string())
@@ -232,7 +230,7 @@ def minhash_band_rows(
     sigr = sig.reshape(n, bands, r)
     bh = np.zeros((n, bands), dtype=np.uint64)
     for j in range(r):
-        bh = bh * np.uint64(1099511628211) + sigr[:, :, j]
+        bh = bh * np.uint64(_FNV_PRIME) + sigr[:, :, j]
     return pa.table(
         {
             "band": pa.array(band_ids),
@@ -865,7 +863,7 @@ def _char_ngram_hashes(col, n: int = 4):
     )
     span_lens = gram_end - gram_start
     doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), m)
-    return doc_idx, fnv1a_spans(data, gram_start, span_lens), n_docs
+    return doc_idx, fnv1a_spans(data, gram_start, span_lens)[0], n_docs
 
 
 def ngram_profile(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id",

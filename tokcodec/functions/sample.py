@@ -35,6 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from tokcodec.functions.hashing import splitmix64
 from tokcodec.functions.text import fnv128
 
 _QUOTA_BUCKET_BITS = 10
@@ -52,17 +53,6 @@ def md5_lower_u64(keys: pa.Array | pa.ChunkedArray) -> np.ndarray:
     return out
 
 
-def _splitmix64(u: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (public-domain mix constants).
-    FNV over short decimal keys is stable but not threshold-uniform —
-    the low-entropy input leaves bias in the high bits; this avalanche
-    pass makes ``hash < rate * 2^64`` an unbiased Bernoulli draw."""
-    z = u + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def key_hash_u64(keys: pa.Array | pa.ChunkedArray, method: str = "fnv") -> np.ndarray:
     """Stable uint64 hash of a key column (cast to string first, so
     integer and string keys hash identically to their decimal text —
@@ -72,8 +62,7 @@ def key_hash_u64(keys: pa.Array | pa.ChunkedArray, method: str = "fnv") -> np.nd
         return md5_lower_u64(strs)
     if method == "fnv":
         lo, _hi = fnv128(strs)
-        with np.errstate(over="ignore"):
-            return _splitmix64(lo.astype(np.uint64))
+        return splitmix64(lo)
     raise ValueError(f"unknown hash method: {method!r}")
 
 

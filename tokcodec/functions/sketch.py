@@ -15,20 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from tokcodec.functions.hashing import fnv1a_batch
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: deterministic 64-bit mix of int64/uint64."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(0x9E3779B97F4A7C15)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
+from tokcodec.functions.hashing import fnv1a_batch, splitmix64
 
 
 def _batch_registers(h: np.ndarray, p: int) -> np.ndarray:
@@ -71,21 +58,18 @@ def hll_count_distinct(ds, column: str, p: int = 12) -> float:
         if col.null_count:
             col = pc.drop_null(col)
         if pa.types.is_integer(col.type):
-            # bit-view, never cast: uint64 hash columns hold values >=
-            # 2^63 that an int64 cast rejects (ArrowInvalid); identical
-            # int values hash identically either way
+            # numpy astype, never an Arrow cast: uint64 hash columns hold
+            # values >= 2^63 that an int64 cast rejects (ArrowInvalid);
+            # signed widths sign-extend, so equal ints hash equally
             vals = col.to_numpy(zero_copy_only=False)
-            if vals.dtype == np.uint64:
-                h = _mix64(vals)
-            else:
-                h = _mix64(vals.astype(np.int64, copy=False).view(np.uint64))
+            h = splitmix64(vals.astype(np.uint64, copy=False))
         elif pa.types.is_floating(col.type):
             # float columns: hash the float64 bit pattern (distinctness
             # of the value, not of a lossy int cast)
             vals = col.to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-            h = _mix64(vals.view(np.uint64))
+            h = splitmix64(vals.view(np.uint64))
         else:
-            h = _mix64(fnv1a_batch(col))
+            h = splitmix64(fnv1a_batch(col))
         regs = _batch_registers(h, p)
         return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
 

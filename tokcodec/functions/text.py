@@ -15,7 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from tokcodec.functions.hashing import (
-    fnv1a_batch,
+    flat_utf8,
     fnv1a_spans,
     fnv1a_words2,
     hash_str,
@@ -32,36 +32,6 @@ NONWORD_RE = r"[^A-Za-z0-9]+"  # split form: split + drop empties == findall
 _WORD_LUT = np.zeros(256, dtype=bool)
 for _r in (range(48, 58), range(65, 91), range(97, 123)):
     _WORD_LUT[list(_r)] = True
-
-
-def flat_utf8(
-    texts: pa.Array | pa.ChunkedArray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Flat UTF-8 byte view of a string array: (byte buffer, per-doc
-    offsets, n_docs), null-filled and rebased to THIS slice's byte
-    window (sliced arrays share the parent buffer — scanning outside the
-    window yields phantom content).  The single audited home of the
-    zero-copy buffer extraction used by word/char scanners."""
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    n = len(texts)
-    t = pc.fill_null(texts, "") if texts.null_count else texts
-    b = t.cast(pa.large_binary())
-    bufs = b.buffers()
-    off = np.frombuffer(bufs[1], dtype=np.int64)[b.offset : b.offset + len(b) + 1]
-    data = (
-        np.frombuffer(bufs[2], dtype=np.uint8)
-        if bufs[2] is not None
-        else np.empty(0, np.uint8)
-    )
-    if len(off):
-        base = int(off[0])
-        data = data[base : int(off[-1])]
-        if base:
-            off = off - base
-    else:
-        off = np.zeros(1, dtype=np.int64)
-    return data, off, n
 
 
 def word_spans(
@@ -177,8 +147,9 @@ def fnv128(texts: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     md5 stays as the DuckDB-parity mode.  8 bytes per numpy step, so it
     beats the per-row C md5 loop on long docs too (throughput numbers:
     tools/bench_fingerprint.py, logged in BASELINE.md)."""
-    data, off, n = flat_utf8(texts)
-    return fnv1a_words2(data, off)
+    data, off, _ = flat_utf8(texts)
+    lo, hi = fnv1a_words2(data, off)
+    return lo, hi
 
 
 def add_fingerprint128(
@@ -237,7 +208,7 @@ class LangId:
             pc.utf8_lower(pc.fill_null(col, "")), 0, self.PREFIX
         )
         data, starts, lens, doc_idx, n = word_spans(lowered, lut=self.lut)
-        h = fnv1a_spans(data, starts, lens)
+        h = fnv1a_spans(data, starts, lens)[0]
         scores = np.zeros((n, len(self.langs)), dtype=np.int64)
         for li, table in enumerate(self.hash_tables):
             pos = np.searchsorted(table, h)
@@ -271,7 +242,7 @@ def tokenize(batch: pa.Table, text_col: str = "text", id_col: str = "doc_id",
         ["unknown"] * batch.num_rows
     )
     data, starts, lengths_b, doc_idx, n = word_spans(batch.column(text_col))
-    flat = (fnv1a_spans(data, starts, lengths_b) % np.uint64(VOCAB)).astype(np.int32)
+    flat = (fnv1a_spans(data, starts, lengths_b)[0] % np.uint64(VOCAB)).astype(np.int32)
     lengths = np.bincount(doc_idx, minlength=n).astype(np.int32)
     offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
     tok_arr = pa.ListArray.from_arrays(pa.array(offsets), pa.array(flat, type=pa.int32()))

@@ -19,21 +19,24 @@ parquet-extra's operator surface.
 
 from __future__ import annotations
 
+import io
 import json
 import os
-from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-from ray.data import Datasink
 
 from tokcodec import manifest as mf
+from tokcodec.sources.sink import ClaimedDatasink
 
 
-class TokenBinDatasink(Datasink):
+class TokenBinDatasink(ClaimedDatasink):
     """Pass to ``ds.write_datasink(TokenBinDatasink(dir))``; the input
     needs (id_col, tokens_col) where tokens is list<int32-compatible>."""
+
+    suffix = ".bin"
+    name = "TokenBin"
 
     def __init__(self, out_dir: str, tokens_col: str = "tokens",
                  id_col: str = "doc_id"):
@@ -41,108 +44,71 @@ class TokenBinDatasink(Datasink):
         self.tokens_col = tokens_col
         self.id_col = id_col
 
-    def on_write_start(self):
-        self._claimed = False
-        mf.claim_out_dir(self.out_dir, ".bin")
-        self._claimed = True
-
-    @property
-    def supports_distributed_writes(self) -> bool:
-        return True
-
-    @property
-    def min_rows_per_write(self):
-        return None
-
-    def get_name(self) -> str:
-        return "TokenBin"
-
-    def write(self, blocks: Iterable, ctx) -> list[dict]:
-        out = []
-        for seq, block in enumerate(blocks):
-            t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            if t.num_rows == 0:
-                continue
-            toks = t.column(self.tokens_col).combine_chunks()
-            is_list = pa.types.is_list(toks.type) or pa.types.is_large_list(toks.type)
-            vt = toks.type.value_type if is_list else None
-            if not (
-                is_list
-                and pa.types.is_integer(vt)
-                and (vt.bit_width < 32 or vt == pa.int32())
-            ):
-                # the shard format is int32 lists; a silent astype from
-                # int64 (or uint32 above 2^31) would corrupt token ids
-                raise ValueError(
-                    f"{self.tokens_col} holds {toks.type}; the .bin shard "
-                    "format is list<int32> — cast upstream if the values fit"
-                )
-            # ListArray offsets may start past 0 after slicing
-            offs = np.asarray(toks.offsets, dtype=np.int64)
-            base = offs[0]
-            # element nulls are counted INSIDE this block's value window
-            # only — a sliced ListArray's child buffer can carry nulls
-            # belonging to rows sliced away, which must not reject a
-            # clean block
-            elem_nulls = toks.values.slice(base, offs[-1] - base).null_count
-            if toks.null_count or elem_nulls:
-                # a null token array OR a null element inside one has no
-                # defined trainer semantics — fail fast instead of
-                # silently emitting a 0-length doc (list-level) or an
-                # INT32_MIN garbage token (element-level: numpy converts
-                # the null through float64 NaN)
-                raise ValueError(
-                    f"{self.tokens_col} holds "
-                    f"{toks.null_count} null row(s) and "
-                    f"{elem_nulls} null element(s); "
-                    "filter or fix upstream before export"
-                )
-            flat = np.asarray(toks.values, dtype=np.int32)
-            name = f"shard-{ctx.task_idx:05d}-{seq:03d}"
-            mf.atomic_write_bytes(
-                os.path.join(self.out_dir, name + ".bin"),
-                flat[base : offs[-1]].astype("<i4", copy=False).tobytes(),
+    def write_table(self, t: pa.Table, task_idx: int, seq: int) -> dict:
+        toks = t.column(self.tokens_col).combine_chunks()
+        is_list = pa.types.is_list(toks.type) or pa.types.is_large_list(toks.type)
+        vt = toks.type.value_type if is_list else None
+        if not (
+            is_list
+            and pa.types.is_integer(vt)
+            and (vt.bit_width < 32 or vt == pa.int32())
+        ):
+            # the shard format is int32 lists; a silent astype from
+            # int64 (or uint32 above 2^31) would corrupt token ids
+            raise ValueError(
+                f"{self.tokens_col} holds {toks.type}; the .bin shard "
+                "format is list<int32> — cast upstream if the values fit"
             )
-            idx = pa.table(
-                {
-                    self.id_col: t.column(self.id_col),
-                    "offset": pa.array(offs[:-1] - base, pa.int64()),
-                    "n_tok": pa.array(np.diff(offs).astype(np.int32), pa.int32()),
-                }
+        # ListArray offsets may start past 0 after slicing
+        offs = np.asarray(toks.offsets, dtype=np.int64)
+        base = offs[0]
+        # element nulls are counted INSIDE this block's value window
+        # only — a sliced ListArray's child buffer can carry nulls
+        # belonging to rows sliced away, which must not reject a
+        # clean block
+        elem_nulls = toks.values.slice(base, offs[-1] - base).null_count
+        if toks.null_count or elem_nulls:
+            # a null token array OR a null element inside one has no
+            # defined trainer semantics — fail fast instead of
+            # silently emitting a 0-length doc (list-level) or an
+            # INT32_MIN garbage token (element-level: numpy converts
+            # the null through float64 NaN)
+            raise ValueError(
+                f"{self.tokens_col} holds "
+                f"{toks.null_count} null row(s) and "
+                f"{elem_nulls} null element(s); "
+                "filter or fix upstream before export"
             )
-            import io
-
-            buf = io.BytesIO()
-            pq.write_table(idx, buf, compression="zstd")
-            mf.atomic_write_bytes(
-                os.path.join(self.out_dir, name + ".idx.parquet"), buf.getvalue()
-            )
-            out.append(
-                {
-                    "shard": name,
-                    "docs": t.num_rows,
-                    "tokens": int(offs[-1] - base),
-                }
-            )
-        return out
-
-    def on_write_complete(self, write_result) -> None:
-        shards = [m for task in write_result.write_returns for m in task]
-        mf.atomic_write_json(
-            os.path.join(self.out_dir, "_SUCCESS"),
-            {
-                "shards": len(shards),
-                "docs": int(sum(s["docs"] for s in shards)),
-                "tokens": int(sum(s["tokens"] for s in shards)),
-            },
+        flat = np.asarray(toks.values, dtype=np.int32)
+        name = f"shard-{task_idx:05d}-{seq:03d}"
+        mf.atomic_write_bytes(
+            os.path.join(self.out_dir, name + ".bin"),
+            flat[base : offs[-1]].astype("<i4", copy=False).tobytes(),
         )
+        idx = pa.table(
+            {
+                self.id_col: t.column(self.id_col),
+                "offset": pa.array(offs[:-1] - base, pa.int64()),
+                "n_tok": pa.array(np.diff(offs).astype(np.int32), pa.int32()),
+            }
+        )
+        buf = io.BytesIO()
+        pq.write_table(idx, buf, compression="zstd")
+        mf.atomic_write_bytes(
+            os.path.join(self.out_dir, name + ".idx.parquet"), buf.getvalue()
+        )
+        return {
+            "shard": name,
+            "docs": t.num_rows,
+            "tokens": int(offs[-1] - base),
+        }
 
-    def on_write_failed(self, error: Exception) -> None:
-        # Ray also calls this when on_write_start refused the dir: that
-        # dir holds another write's files and gets no marker
-        if self._claimed:
-            with open(os.path.join(self.out_dir, "_FAILED"), "w") as f:
-                f.write(str(error))
+    def summary(self, rows: list[dict]) -> dict:
+        return {
+            "shards": len(rows),
+            "docs": int(sum(s["docs"] for s in rows)),
+            "tokens": int(sum(s["tokens"] for s in rows)),
+        }
 
 
 def export_token_bin(tokb_dir: str, out_dir: str) -> dict:

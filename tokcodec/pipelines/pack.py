@@ -29,14 +29,14 @@ the round brief asks for beyond parquet-extra's operator surface.
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import time
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-import json
 
 from tokcodec import manifest as mf
 from tokcodec.pipelines.encode import _read_groups, _read_slices, plan_partitions
@@ -242,9 +242,7 @@ def _pack_partition(
     os.makedirs(os.path.join(out_dir, "fragments"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "state"), exist_ok=True)
     for path, tbl in ((part_path, complete), (frag_path, frags)):
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp, compression="zstd")
-        os.rename(tmp, path)
+        _write_parquet(path, tbl)
     metrics = {
         "pid": pid,
         "rows": table.num_rows,
@@ -258,6 +256,14 @@ def _pack_partition(
     }
     mf.atomic_write_json(done, {"fp": fp, "metrics": metrics})
     return metrics
+
+
+def _write_parquet(path: str, table: pa.Table) -> None:
+    """Durable write (fsync'd, atomic): the state marker written after a
+    partition's files vouches for them after a crash."""
+    buf = io.BytesIO()
+    pq.write_table(table, buf, compression="zstd")
+    mf.atomic_write_bytes(path, buf.getvalue())
 
 
 def _empty_chunks(key_type: pa.DataType, frag: bool = False) -> pa.Table:
@@ -310,9 +316,7 @@ def _merge_fragments(frag_dir: str, out_path: str) -> int:
             ]
         ),
     )
-    tmp = out_path + ".tmp"
-    pq.write_table(out, tmp, compression="zstd")
-    os.rename(tmp, out_path)
+    _write_parquet(out_path, out)
     return len(merged)
 
 

@@ -47,28 +47,33 @@ def resolve_path(schema_or_type, dotted: str) -> pa.DataType:
     return t
 
 
-def project_schema(schema: pa.Schema, fields: list[str]) -> pa.Schema:
-    """Pruned nested schema from dotted paths, preserving declaration
-    order and nesting (Projection.scala:53-107 semantics)."""
-    # full-request absorb (same semantics as blocks._column_tree): a whole
-    # column ("a") absorbs any dotted sibling ("a.x") in either order —
-    # value None marks "keep the whole subtree".  Without this, zone-pruned
-    # empty blocks (schema'd here) and decoded blocks (pruned by
-    # _column_tree) disagree on struct width and concat_tables fails.
-    tree: dict = {}
+def column_tree(columns: list[str]) -> dict:
+    """Dotted paths → per-top-level prune trees: value None = the whole
+    (sub)column, else a dict of child name → subtree.  A full request
+    ("a") absorbs any dotted one ("a.x") in either order, so a projected
+    schema and a pruned block decode agree on struct width."""
 
     def insert(node: dict, name: str, rest: list[str]) -> None:
         if not rest:
-            node[name] = None
+            node[name] = None  # full subtree, absorbs narrower requests
             return
         if name in node and node[name] is None:
-            return
+            return  # already requested fully
         insert(node.setdefault(name, {}), rest[0], rest[1:])
 
+    tree: dict = {}
+    for c in columns:
+        parts = c.split(".")
+        insert(tree, parts[0], parts[1:])
+    return tree
+
+
+def project_schema(schema: pa.Schema, fields: list[str]) -> pa.Schema:
+    """Pruned nested schema from dotted paths, preserving declaration
+    order and nesting (Projection.scala:53-107 semantics)."""
     for f in fields:
         resolve_path(schema, f)  # validate + fail fast
-        parts = f.split(".")
-        insert(tree, parts[0], parts[1:])
+    tree = column_tree(fields)
 
     def prune_type(t: pa.DataType, node: dict | None) -> pa.DataType:
         if not node:

@@ -24,24 +24,20 @@ from tokcodec import manifest as mf
 from tokcodec.sources.datasource import read_blocks
 
 
-class TokbDatasink(Datasink):
-    """Pass to ``ds.write_datasink(TokbDatasink(dir))``.
+class ClaimedDatasink(Datasink):
+    """The lifecycle every tokcodec datasink shares.  `on_write_start`
+    claims `out_dir` for files ending in `suffix` (a dir holding another
+    write's files is refused); each non-empty block goes to
+    `write_table(table, task_idx, seq)`, whose result rows `summary`
+    folds into the `_SUCCESS` marker; a failed write leaves `_FAILED`
+    in a dir this write claimed."""
 
-    With `schema` (a tokcodec.schema.Schema), every incoming block is
-    validated before encoding — the reference writer's schema
-    enforcement (ExampleParquetWriter.java:46-52 resolves the schema,
-    Schema.java:171-174 checks each record's repetition at write)."""
-
-    def __init__(self, out_dir: str, zstd: bool = True, schema=None,
-                 bloom_cols: list[str] | None = None):
-        self.out_dir = out_dir
-        self.zstd = zstd
-        self.schema = schema
-        self.bloom_cols = bloom_cols
+    suffix = ""
+    name = ""
 
     def on_write_start(self):
         self._claimed = False
-        mf.claim_out_dir(self.out_dir, ".tokb")
+        mf.claim_out_dir(self.out_dir, self.suffix)
         self._claimed = True
 
     @property
@@ -53,31 +49,25 @@ class TokbDatasink(Datasink):
         return None
 
     def get_name(self) -> str:
-        return "TOKB"
+        return self.name
 
     def write(self, blocks: Iterable, ctx) -> list[dict]:
         out = []
         for seq, block in enumerate(blocks):
             t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            if t.num_rows == 0:
-                continue
-            if self.schema is not None:
-                self.schema.validate_table(t)  # fail fast, with field context
-            out.append(mf.write_block(
-                self.out_dir, f"part-{ctx.task_idx:05d}-{seq:03d}", t,
-                {"task": ctx.task_idx, "seq": seq}, zstd=self.zstd,
-                bloom_cols=self.bloom_cols,
-            ))
+            if t.num_rows:
+                out.append(self.write_table(t, ctx.task_idx, seq))
         return out
 
+    def write_table(self, t: pa.Table, task_idx: int, seq: int) -> dict:
+        raise NotImplementedError
+
+    def summary(self, rows: list[dict]) -> dict:
+        raise NotImplementedError
+
     def on_write_complete(self, write_result) -> None:
-        all_manifests = [m for task in write_result.write_returns for m in task]
-        summary = {
-            "blocks": len(all_manifests),
-            "rows": sum(m["metrics"]["rows"] for m in all_manifests),
-            "bytes_out": sum(m["block_bytes"] for m in all_manifests),
-        }
-        mf.atomic_write_json(os.path.join(self.out_dir, "_SUCCESS"), summary)
+        rows = [r for task in write_result.write_returns for r in task]
+        mf.atomic_write_json(os.path.join(self.out_dir, "_SUCCESS"), self.summary(rows))
 
     def on_write_failed(self, error: Exception) -> None:
         # Ray also calls this when on_write_start refused the dir: that
@@ -85,6 +75,41 @@ class TokbDatasink(Datasink):
         if self._claimed:
             with open(os.path.join(self.out_dir, "_FAILED"), "w") as f:
                 f.write(str(error))
+
+
+class TokbDatasink(ClaimedDatasink):
+    """Pass to ``ds.write_datasink(TokbDatasink(dir))``.
+
+    With `schema` (a tokcodec.schema.Schema), every incoming block is
+    validated before encoding — the reference writer's schema
+    enforcement (ExampleParquetWriter.java:46-52 resolves the schema,
+    Schema.java:171-174 checks each record's repetition at write)."""
+
+    suffix = ".tokb"
+    name = "TOKB"
+
+    def __init__(self, out_dir: str, zstd: bool = True, schema=None,
+                 bloom_cols: list[str] | None = None):
+        self.out_dir = out_dir
+        self.zstd = zstd
+        self.schema = schema
+        self.bloom_cols = bloom_cols
+
+    def write_table(self, t: pa.Table, task_idx: int, seq: int) -> dict:
+        if self.schema is not None:
+            self.schema.validate_table(t)  # fail fast, with field context
+        return mf.write_block(
+            self.out_dir, f"part-{task_idx:05d}-{seq:03d}", t,
+            {"task": task_idx, "seq": seq}, zstd=self.zstd,
+            bloom_cols=self.bloom_cols,
+        )
+
+    def summary(self, rows: list[dict]) -> dict:
+        return {
+            "blocks": len(rows),
+            "rows": sum(m["metrics"]["rows"] for m in rows),
+            "bytes_out": sum(m["block_bytes"] for m in rows),
+        }
 
 
 def read_tokb(out_dir: str, columns: list[str] | None = None, predicate=None):
