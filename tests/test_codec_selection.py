@@ -776,15 +776,56 @@ def _token_block0():
     return make_table(2000, seed=101).slice(0, 1130)
 
 
+def _work(tables) -> dict:
+    """``intcodecs.WORK`` over one encode of each of ``tables``."""
+    before = dict(ic.WORK)
+    for t in tables:
+        encode_table(t)
+    return {k: ic.WORK[k] - before[k] for k in before}
+
+
 def test_token_block_selection_work_is_pinned():
     """Codec nodes built plus ``_est_z`` compressions for one encode of a
     token block.  The count is exact, so a selection change shows here
     where its encode time is noise: pin it anew when selection changes on
     purpose."""
-    t = _token_block0()
-    before = dict(ic.WORK)
-    encode_table(t)
-    assert {k: ic.WORK[k] - before[k] for k in before} == {"nodes": 124, "zstd": 78}
+    assert _work([_token_block0()]) == {"nodes": 63, "zstd": 44}
+
+
+def test_token_fixture_selection_work_is_pinned(tmp_path):
+    """The same count over all eight blocks of the benchmark's seed-101
+    token fixture: block 0 alone misses what the other blocks' data take."""
+    assert _work(_token_blocks(tmp_path)) == {"nodes": 463, "zstd": 307}
+
+
+def test_bench_table_selection_work_is_pinned(tmp_path):
+    """The same count on the first block of each benchmark table, whose
+    columns take the bytes, float and delta codecs the token blocks do
+    not."""
+    got = {name: _work(ts[:1]) for name, ts in _bench_tables(tmp_path).items()}
+    assert got == {"lineitem": {"nodes": 265, "zstd": 211}, "orders": {"nodes": 114, "zstd": 106},
+                   "events": {"nodes": 134, "zstd": 76}, "documents": {"nodes": 96, "zstd": 41}}
+
+
+def test_block_bytes_pinned(tmp_path):
+    """The bytes of token block 0 and of the first block of each benchmark
+    table, before the container's zstd pass: the codec trees selection
+    picks and their raw payloads, independent of the zstd library's
+    output.  A change to selection that keeps blocks byte-identical keeps
+    these digests."""
+    import hashlib
+
+    inputs = {"tokens": _token_block0(),
+              **{name: ts[0] for name, ts in _bench_tables(tmp_path).items()}}
+    got = {name: hashlib.sha256(encode_table(t, zstd=False)).hexdigest()
+           for name, t in inputs.items()}
+    assert got == {
+        "tokens": "4d52f14817861d5c3df52641b798959c6465ed1ce8cd7e526a96d3bf5c1e0e10",
+        "lineitem": "645125ef19eb8c3a4adbc6bfa0d3388cada21c78915035fabf1df2a51a9ced91",
+        "orders": "e7478e5105ad3141114822d5977e3663694ef8246cdda9ed34bd99048d353afb",
+        "events": "ae1fe52c8a9553d106433f6570a09603a4402f51aefe0347014479d3535b8577",
+        "documents": "61c0eb14f0350c12e164656fa1a9c90111592cf52c3249bca741e11386488b83",
+    }
 
 
 def _composite_columns(rng) -> dict:
@@ -827,6 +868,53 @@ def test_finished_trees_carry_no_stand_in_and_true_estimates():
     for name, arr in cols.items():
         (c,) = read_header(encode_table(pa.table({name: arr})))["columns"]
         assert all(set(node) == {"c", "m", "ps", "k"} for node in _walk(c["enc"]))
+
+
+def _tree(enc: dict) -> tuple:
+    """A codec tree's fields and payload bytes, comparable with ==."""
+    return (enc["c"], enc["m"], [bytes(p) for p in enc["p"]],
+            {name: _tree(ch) for name, ch in enc["k"].items()})
+
+
+def test_bounded_scoring_picks_as_unbounded(monkeypatch):
+    """Scoring each candidate against the lowest estimate so far, and
+    building stand-ins only as far as that bound asks, picks the trees the
+    full estimates pick."""
+    cols = _composite_columns(np.random.default_rng(37))
+    cols["constant"] = pa.array(np.full(3000, 16, dtype=np.int64))
+    bounded = {name: _tree(blocks.encode_array(arr)) for name, arr in cols.items()}
+    est = ic._est_z
+    full = lambda enc, bound=float("inf"): est(enc)  # noqa: E731
+    monkeypatch.setattr(ic, "_est_z", full)
+    monkeypatch.setattr(bc, "_est_z", full)
+    assert {name: _tree(blocks.encode_array(arr)) for name, arr in cols.items()} == bounded
+
+
+@pytest.mark.parametrize("value, dtype", [(0, np.int64), (16, np.int64), (-3, np.int32),
+                                          (2**63 + 5, np.uint64), (0, np.uint8), (7, np.uint8)])
+def test_constant_array_takes_the_first_zero_estimate(value, dtype):
+    """A constant array's pick, made without trials, is the first lowest of
+    every candidate built and scored in full."""
+    arr = np.full(1130, value, dtype=dtype)
+    got = ic._best_int(arr)
+    want = min((e for e in (fn(arr) for fn in ic._candidates()) if e is not None), key=ic._est_z)
+    assert _tree(got) == _tree(want) and _decodes(got, arr)
+
+
+@pytest.mark.parametrize("first, second", [(np.int64, np.int32), (np.int64, np.int8),
+                                           (np.int32, np.int64), (np.uint8, np.uint64)])
+def test_block_scope_reuse_picks_as_a_fresh_selection(first, second):
+    """Inside ``block_scope`` an int array holding the values of one picked
+    before takes that pick (or plain, on its own dtype) exactly as its own
+    selection would: list lengths and an ``n_tok`` column, and short
+    arrays where plain of the narrow dtype wins."""
+    rng = np.random.default_rng(5)
+    for vals in (rng.integers(36, 3000, 1130), rng.integers(0, 100, 40), np.arange(200) % 7):
+        a, b = vals.astype(first), vals.astype(second)
+        with ic.block_scope():
+            ic.encode_int_auto(a)
+            got = ic.encode_int_auto(b)
+        assert _tree(got) == _tree(ic._best_int(b)) and _decodes(got, b)
 
 
 @st.composite
@@ -1125,25 +1213,41 @@ def _container_block(t: pa.Table, reuse: bool, monkeypatch) -> tuple[bytes, int]
         return encode_table(t), spy.calls
 
 
-def _bench_tables(tmp_path) -> dict:
-    """The benchmark's four mixed-type tables (TPC-H-like lineitem and
-    orders, events, documents), each cut into its planned blocks."""
-    import math
+def _fixtures():
+    """perfbench's fixture module, which writes the benchmark's inputs."""
     import os
     import sys
 
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
     import fixtures
 
+    return fixtures
+
+
+def _planned(path: str, target: int, token_col: str | None) -> list:
+    """The blocks of ``path`` as the benchmark's plan cuts them."""
     from tokcodec.pipelines import encode as pipe
 
-    out = {}
-    for name, v in fixtures.write_tables(str(tmp_path), 101).items():
-        plan = pipe.plan_partitions(v["path"], math.ceil(v["rows"] / fixtures.TABLE_BLOCKS),
-                                    token_col=None, parallel=False)
-        out[name] = [pipe._read_rows(s["file"], int(s["row_start"]), int(s["row_end"]), None)
-                     for s in plan["partitions"]]
-    return out
+    plan = pipe.plan_partitions(path, target, token_col=token_col, parallel=False)
+    return [pipe._read_rows(s["file"], int(s["row_start"]), int(s["row_end"]), None)
+            for s in plan["partitions"]]
+
+
+def _bench_tables(tmp_path) -> dict:
+    """The benchmark's four mixed-type tables (TPC-H-like lineitem and
+    orders, events, documents), each cut into its planned blocks."""
+    import math
+
+    fixtures = _fixtures()
+    return {name: _planned(v["path"], math.ceil(v["rows"] / fixtures.TABLE_BLOCKS), None)
+            for name, v in fixtures.write_tables(str(tmp_path), 101).items()}
+
+
+def _token_blocks(tmp_path) -> list:
+    """The benchmark's seed-101 token fixture cut into its planned blocks."""
+    fixtures = _fixtures()
+    fx = fixtures.write_tokens(str(tmp_path / "tokens"), 101)
+    return _planned(fx["dir"], fixtures.TOKEN_TARGET, "n_tok")
 
 
 def test_container_reuse_keeps_every_block(tmp_path, monkeypatch):

@@ -67,9 +67,13 @@ def _rh_scalar(s: str) -> int:
 
 def test_rolling_hash_values_pinned_and_skew_bounded():
     """Values == the scalar Horner loop, and one huge outlier doc costs
-    only its own bytes (length-sorted active-suffix), not
-    n_docs × max_len full-batch passes (VERDICT r2 wrong-list #4)."""
+    only its own bytes, not n_docs × max_len full-batch passes (VERDICT
+    r2 wrong-list #4), nor a vectorized pass per byte once it is the last
+    span left: the batch hashes in under a second with ``rolling_hash``
+    and with ``fnv1a_batch``."""
     import time
+
+    from tokcodec.functions.hashing import fnv1a_batch, hash_str
 
     texts = ["", "a", "hello world", "¡unicode! ✓" * 3]
     t = pa.table({"doc_id": list(range(len(texts))), "text": texts})
@@ -86,12 +90,12 @@ def test_rolling_hash_values_pinned_and_skew_bounded():
     out = text.rolling_hash(t_skew)
     dt_skew = time.monotonic() - t0
     assert out.column("rh").to_pylist()[-1] == _rh_scalar(big)
-    # the old O(n_docs × max_len) form took >> 10 s here; the
-    # active-suffix pass stays near the single-doc cost
     t0 = time.monotonic()
-    text.rolling_hash(pa.table({"doc_id": [0], "text": [big]}))
-    dt_one = time.monotonic() - t0
-    assert dt_skew < max(10 * dt_one, 5.0)
+    fnv = fnv1a_batch(t_skew.column("text"))
+    dt_fnv = time.monotonic() - t0
+    assert int(fnv[-1]) == hash_str(big) and int(fnv[0]) == hash_str(tiny[0])
+    # a vectorized pass per byte of the 1 MB doc took 12-19 s
+    assert dt_skew < 1.0 and dt_fnv < 1.0
 
 
 def _fnv_word_ref(s: str, basis: int) -> int:

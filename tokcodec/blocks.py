@@ -34,7 +34,7 @@ from tokcodec.codecs import (
     encode_float_auto,
     encode_int_auto,
 )
-from tokcodec.codecs.intcodecs import _node
+from tokcodec.codecs.intcodecs import _node, block_scope
 from tokcodec.codecs.util import zstd_lazy
 from tokcodec.projection import Projection, column_tree, resolve_path
 
@@ -470,31 +470,32 @@ def encode_table(
             )
     segments: list[bytes] = []
     cols = []
-    for name in table.column_names:
-        col = table.column(name)
-        # the one chunk the table's combine_chunks leaves is taken as it
-        # is: ChunkedArray.combine_chunks copies even a single chunk (0.8 ms
-        # for the list column of a 1 M-token block)
-        if col.num_chunks == 1:
-            arr = col.chunk(0)
-        else:
-            arr = col.combine_chunks()
-        if isinstance(arr, pa.ChunkedArray):  # zero chunks edge case
-            arr = pa.concat_arrays(arr.chunks) if arr.num_chunks else pa.nulls(0, arr.type)
-        spec = {"name": name, "enc": _flatten(encode_array(arr), segments)}
-        stats = column_stats(arr)
-        if stats is not None:
-            spec["stats"] = stats
-        if bloom_cols and name in bloom_cols:
-            bl = build_bloom(arr)
-            if bl is not None:
-                spec["bloom"] = bl
-        if pa.types.is_struct(arr.type):
-            ns: dict = {}
-            nested_stats(arr, arr.type, name, ns)
-            if ns:
-                spec["nstats"] = ns
-        cols.append(spec)
+    with block_scope():  # picks reused within the block only
+        for name in table.column_names:
+            col = table.column(name)
+            # the one chunk the table's combine_chunks leaves is taken as it
+            # is: ChunkedArray.combine_chunks copies even a single chunk (0.8 ms
+            # for the list column of a 1 M-token block)
+            if col.num_chunks == 1:
+                arr = col.chunk(0)
+            else:
+                arr = col.combine_chunks()
+            if isinstance(arr, pa.ChunkedArray):  # zero chunks edge case
+                arr = pa.concat_arrays(arr.chunks) if arr.num_chunks else pa.nulls(0, arr.type)
+            spec = {"name": name, "enc": _flatten(encode_array(arr), segments)}
+            stats = column_stats(arr)
+            if stats is not None:
+                spec["stats"] = stats
+            if bloom_cols and name in bloom_cols:
+                bl = build_bloom(arr)
+                if bl is not None:
+                    spec["bloom"] = bl
+            if pa.types.is_struct(arr.type):
+                ns: dict = {}
+                nested_stats(arr, arr.type, name, ns)
+                if ns:
+                    spec["nstats"] = ns
+            cols.append(spec)
     seg_table = []
     payloads = []
     off = 0

@@ -12,7 +12,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from tokcodec.codecs.fsst import can_merge, decode_fsst, table_of, try_fsst
-from tokcodec.codecs.intcodecs import _child, _est_z, _finish, _node, _trials, decode_int
+from tokcodec.codecs.intcodecs import _child, _est_z, _finish, _first_min, _node, _trials, decode_int
 from tokcodec.codecs.util import _PA_TYPES, arr_to_np, dispatch, np_to_arr, type_name
 
 # FSST is worthwhile on short-ish strings; guard against pathological
@@ -64,7 +64,10 @@ def _fsst_trial(arr: pa.Array) -> dict | None:
     if len(ends) and ends[-1] > SCREEN_MIN:
         head = arr.slice(0, int(np.searchsorted(ends, SCREEN_BYTES)) + 1)
         f = try_fsst(head)
-        if f is None or _est_z(f) >= _est_z(_enc_plain_bytes(head)):
+        if f is None:
+            return None
+        plain = _est_z(_enc_plain_bytes(head))
+        if _est_z(f, plain) >= plain:
             return None
     return try_fsst(arr)
 
@@ -85,8 +88,10 @@ def _enc_dict_bytes(arr: pa.Array, fsst_values: bool = True) -> dict:
     f = None
     if fsst_values and can_merge(venc["p"][0]):
         f = _fsst_trial(uvals)
-    if f is not None and _est_z(f) < _est_z(venc):
-        venc = f
+    if f is not None:
+        plain = _est_z(venc)
+        if _est_z(f, plain) < plain:
+            venc = f
     return _node(
         "dbytes",
         {"pa": type_name(arr.type), "n": len(arr)},
@@ -128,7 +133,7 @@ def encode_bytes_auto(arr: pa.Array) -> dict:
                     f = _fsst_trial(arr)
                     if f is not None:
                         cands.append(f)
-            best = min(cands, key=_est_z)
+            best = _first_min(cands)[0]
         return _finish(best)
     # cap the trial sample by BYTES, not rows: the FSST symbol-table
     # build is O(sample bytes) and dominated encode profiling at 4096
@@ -153,7 +158,7 @@ def encode_bytes_auto(arr: pa.Array) -> dict:
             fs = _fsst_trial(sample)
         if fs is not None:
             cands.append(fs)
-        best = min(cands, key=_est_z)["c"]
+        best = _first_min(cands)[0]["c"]
     if best == "fsst":
         enc = try_fsst(arr, table=table_of(fs))  # reuse the sample-built table
         return enc if enc is not None else _enc_dict_bytes(arr)

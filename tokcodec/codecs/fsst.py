@@ -52,7 +52,7 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
     seq[is_data] = data
     sym_bytes = list(_SINGLES)
     # the separator's length makes every pair touching it too long to merge
-    sym_len = np.ones(512, dtype=np.int64)
+    sym_len = [1] * 512
     sym_len[_SEP] = MAX_SYM_LEN
     next_code = 256
     # Batched BPE: each round counts pairs ONCE, then applies up to 8
@@ -70,19 +70,28 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
         # bytes, never across a separator.  In sorted order a key seen c >=
         # MIN_PAIR times equals the key MIN_PAIR - 1 places on at its first
         # c - MIN_PAIR + 1 positions: runs of those give each key and count
+        # (ndarray methods and ufuncs, not numpy's Python-level helpers: a
+        # 2 KB sample takes ~12 rounds, each a few dozen calls on small
+        # arrays, so per-call overhead is most of the build)
         srt = np.sort(keys)
         frequent = srt[: 1 - MIN_PAIR][srt[MIN_PAIR - 1:] == srt[: 1 - MIN_PAIR]]
-        if not len(frequent):
+        nf = len(frequent)
+        if not nf:
             break
-        starts = np.flatnonzero(np.concatenate(([True], frequent[1:] != frequent[:-1])))
-        uniq = frequent[starts]
-        counts = np.diff(np.append(starts, len(frequent))) + (MIN_PAIR - 1)
-        ok = sym_len[uniq >> 9] + sym_len[uniq & 511] <= MAX_SYM_LEN
-        uniq, counts = uniq[ok], counts[ok]
+        first = np.empty(nf + 1, dtype=bool)
+        first[0] = first[nf] = True
+        np.not_equal(frequent[1:], frequent[:-1], out=first[1:nf])
+        bounds = first.nonzero()[0]
+        uniq = frequent[bounds[:-1]]
+        counts = bounds[1:] - bounds[:-1]
         used: set[int] = set()
         accepted: list[tuple[int, int, int]] = []
-        for key in uniq[np.argsort(counts, kind="stable")[::-1]].tolist():
+        # by count, then key, both descending; a pair merging to over
+        # MAX_SYM_LEN bytes is passed over
+        for key in uniq[counts.argsort(kind="stable")[::-1]].tolist():
             ka, kb = divmod(key, 512)
+            if sym_len[ka] + sym_len[kb] > MAX_SYM_LEN:
+                continue
             if ka in used or kb in used:
                 continue  # next round sees exact counts for this pair
             used.update((ka, kb))
@@ -97,7 +106,7 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
         # compacted once
         keep = np.ones(len(seq), dtype=bool)
         for ka, kb, key in accepted:
-            p = np.flatnonzero(keys == key)
+            p = (keys == key).nonzero()[0]
             if ka == kb:
                 # non-overlapping greedy-left: drop every second position
                 # inside runs of consecutive matches
@@ -115,7 +124,7 @@ def _build_table(lengths: np.ndarray, data: np.ndarray) -> list[bytes]:
     # the lower code
     cnt = np.bincount(seq, minlength=512)[:next_code]
     codes = np.flatnonzero(cnt)
-    gains = cnt[codes] * (2 * sym_len[codes] - 1)
+    gains = cnt[codes] * (2 * np.array(sym_len)[codes] - 1)
     best = codes[np.argsort(-gains, kind="stable")[:MAX_SYMBOLS]]
     return [sym_bytes[code] for code in best.tolist()]
 
@@ -178,8 +187,10 @@ def try_fsst(arr: pa.Array, table: list[bytes] | None = None) -> dict | None:
     pad = np.zeros(n_bytes + MAX_SYM_LEN, dtype=np.uint8)
     pad[:n_bytes] = data
     # the next 8 bytes at every position, little-endian: one overlapping
-    # uint64 view with a 1-byte stride over the zero-padded data
-    key8 = np.ndarray((n_bytes,), dtype="<u8", buffer=pad, strides=(1,))
+    # uint64 view with a 1-byte stride over the zero-padded data, copied
+    # out once, since a gather from the unaligned view costs ~2-4x one from
+    # a contiguous array and every symbol length gathers from it
+    key8 = np.ndarray((n_bytes,), dtype="<u8", buffer=pad, strides=(1,)).copy()
     offsets = np.empty(n + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(lengths, out=offsets[1:])

@@ -444,7 +444,7 @@ def encoded_size(enc: dict) -> int:
     return total
 
 
-def _est_z(enc: dict) -> float:
+def _est_z(enc: dict, bound: float = math.inf) -> float:
     """Estimated *post-container* size: the container zstd-compresses each
     payload, so codec selection must score compressed bytes, not raw bytes
     (bp+zstd routinely beats dict pre-zstd).  Large payloads are estimated
@@ -470,7 +470,16 @@ def _est_z(enc: dict) -> float:
     A payload compressed whole (128 B to 256 KB) keeps its compressed
     bytes on the node under ``zc`` (one entry per payload, None for the
     others): the container compresses a segment with the same codec, so
-    ``blocks.encode_table`` takes them instead of compressing again."""
+    ``blocks.encode_table`` takes them instead of compressing again.
+
+    With a ``bound``, the estimate is exact where it is below the bound;
+    otherwise the sum stops at the first child that takes it to the bound
+    or past it, and a stand-in child whose every candidate reaches what is
+    left of the bound stays unresolved (``_stand_in``).  Either way the
+    result is at least ``bound``: a candidate scored against the lowest
+    estimate so far loses without its remaining children being scored."""
+    if "c" not in enc:
+        return _stand_in(enc, bound)
     total = enc.get("z")
     if total is None:
         _zstd1 = zstd_lazy.get()
@@ -493,8 +502,32 @@ def _est_z(enc: dict) -> float:
         enc["z"] = total
         enc["zc"] = packed
     for ch in enc["k"].values():
-        total += _est_z(ch)
+        if total >= bound:
+            break
+        # the least rest that takes the rounded sum to the bound: a child
+        # at or past it leaves the sum at or past the bound, as the
+        # unbounded sum would be
+        rest = bound - total
+        while total + rest < bound:
+            rest = math.nextafter(rest, math.inf)
+        total += _est_z(ch, rest)
     return total
+
+
+def _first_min(encs, bound: float = math.inf) -> tuple[dict | None, float]:
+    """The first of the lowest ``_est_z`` below ``bound`` among ``encs``
+    (None skipped) and its estimate, as ``min(encs, key=_est_z)`` picks it,
+    each scored against the lowest estimate so far; (None, bound) when none
+    is below.  A zero ends the scan: nothing after it is lower."""
+    best, low = None, bound
+    for e in encs:
+        if e is not None:
+            z = _est_z(e, low)
+            if z < low:
+                best, low = e, z
+                if not low:
+                    break
+    return best, low
 
 
 # ------------------------------------------------------ deferred children ----
@@ -505,9 +538,12 @@ def _est_z(enc: dict) -> float:
 # under ``d``.  Once the selector has picked, ``_finish`` runs the full
 # selection on the winner's stand-ins only, so a losing composite never
 # pays for its children's selection (BtrBlocks, SIGMOD 2023, likewise
-# recurses only into the scheme it picked).  Every full-array build and every
-# deciding comparison is made outside trial mode, on finished trees.  The
-# mode is module state: a process encodes one column at a time.
+# recurses only into the scheme it picked).  A stand-in is built when it is
+# first scored, and only as far as a bound asks (``_est_z``): a composite
+# whose own payloads already reach the best score so far never builds its
+# children.  Every full-array build and every deciding comparison is made
+# outside trial mode, on finished trees.  The mode is module state: a
+# process encodes one column at a time.
 
 _TRIAL = False
 
@@ -536,12 +572,24 @@ def _child(arr: np.ndarray, allow_rle: bool = True, allow_dict: bool = True,
     flags = {"allow_rle": allow_rle, "allow_dict": allow_dict, "allow_vtop": allow_vtop}
     if not _TRIAL:
         return _best_int(arr, **flags)
+    return {"d": (arr, flags, {})}
+
+
+def _stand_in(enc: dict, bound: float) -> float:
+    """``_est_z`` of a stand-in not yet resolved: its candidates built (once,
+    kept under ``d`` for ``_finish``) and scored in order against the lowest
+    so far, starting from ``bound``.  The first lowest one below the bound
+    becomes the stand-in's codec fields; with none below it, the stand-in
+    stays unresolved and scores ``bound``."""
+    arr, flags, built = enc["d"]
     fns = [_enc_for, _enc_bps, _enc_delta]
-    if allow_rle and 2 * int(np.count_nonzero(arr[1:] != arr[:-1])) < len(arr):
+    if flags["allow_rle"] and 2 * int(np.count_nonzero(arr[1:] != arr[:-1])) < len(arr):
         fns.append(_enc_rle)
-    built = {fn: fn(arr) for fn in fns}
-    best = min((e for e in built.values() if e is not None), key=_est_z)
-    return dict(best, d=(arr, flags, built))
+    best, low = _first_min((built[fn] if fn in built else built.setdefault(fn, fn(arr))
+                            for fn in fns), bound)
+    if best is not None:
+        enc.update(best)  # ``d`` stays: ``best`` has none
+    return low
 
 
 def _finish(enc: dict) -> dict:
@@ -569,7 +617,11 @@ def _undominated(cands: list, arr: np.ndarray) -> list:
     counts of ``arr``'s d distinct values: ``dict`` when
     n * ceil(log2 d) + d * w >= n * w, and on arrays of at most 4 * SAMPLE
     ``vtop`` when its 255 most frequent values cover under half the rows
-    (each escape costs a rank byte plus its raw value).
+    (each escape costs a rank byte plus its raw value).  On a constant
+    array the first of ``bp`` and ``for`` whose payload packs 0 bits (``bp``
+    on zeros, ``for`` otherwise) is the only trial: its empty payload
+    estimates 0, every candidate before it has a non-empty one, and the
+    first zero ends the scan.
 
     ``rle`` keeps its trial whenever some neighbours repeat: a raw-size
     bound (runs * (w + 1) >= n * w) would drop it where it wins after
@@ -579,6 +631,9 @@ def _undominated(cands: list, arr: np.ndarray) -> list:
     n = len(arr)
     if not n:
         return cands
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo == hi:
+        return [_enc_bitpack if lo == 0 else _enc_for]
     skip = set()
     if arr.astype(np.int64, copy=False).min() == 0:
         skip.add(_enc_for)
@@ -588,7 +643,7 @@ def _undominated(cands: list, arr: np.ndarray) -> list:
     if _enc_dict in cands or vtop:
         counts = np.unique(arr, return_counts=True)[1]
         d = len(counts)
-        w = bitpack.bit_width(int(arr.max()) - int(arr.min()))
+        w = bitpack.bit_width(hi - lo)
         if n * (d - 1).bit_length() + d * w >= n * w:
             skip.add(_enc_dict)
         if vtop and d > _VTOP_ESC:
@@ -618,22 +673,32 @@ def _best_int(
     saturated = False
     if allow_dict:
         counts = np.unique(sample, return_counts=True)[1]
+        # Cardinality grows with n, so a sampled dict estimate is biased
+        # low — unless the sample has already seen the column's domain.
+        # Its Good-Turing missing mass, f1/|sample| (the share of sample
+        # rows whose value occurs once in it), estimates the share of the
+        # column's rows holding a value the sample never saw (Charikar et
+        # al., PODS 2000).  Measured over the census corpus: 0.033-0.039 on
+        # the day-granular dates (l_shipdate, o_orderdate); every other
+        # column past SAMPLE // 4 is at 0.25 or more (bench l_partkey 0.26,
+        # o_custkey 0.58, keys and ids 0.59-1.0).  Past SAMPLE // 4 the
+        # trial is dropped, and at most 1/10 keeps a dict check, which must
+        # also win on the full array.
+        unseen = 10 * int((counts == 1).sum()) > len(sample)
         if len(counts) > SAMPLE // 4:
-            # Cardinality grows with n, so a sampled dict estimate is
-            # biased low and the trial is dropped — unless the sample has
-            # already seen the column's domain.  Its Good-Turing missing
-            # mass, f1/|sample| (the share of sample rows whose value
-            # occurs once in it), estimates the share of the column's rows
-            # holding a value the sample never saw (Charikar et al., PODS
-            # 2000).  Measured over the census corpus: 0.033-0.039 on the
-            # day-granular dates (l_shipdate, o_orderdate); every other
-            # column past SAMPLE // 4 is at 0.25 or more (bench l_partkey
-            # 0.26, o_custkey 0.58, keys and ids 0.59-1.0).  At most 1/10
-            # keeps a dict trial, which must also win on the full array.
             cands = [fn for fn in cands if fn is not _enc_dict]
-            saturated = 10 * int((counts == 1).sum()) <= len(sample)
+            saturated = not unseen
+        elif unseen and allow_vtop and 0 <= int(sample.min()) and int(sample.max()) < _VTOP_MAX:
+            # A heavy tail the sample has not seen the end of, on values
+            # vtop can take: its full-array trial remaps the column, and
+            # the sample only sets the fixed-width baseline vtop must beat;
+            # plain, delta, rle and dict never win there.  Token ids:
+            # missing mass 0.138-0.155 at 1,500-1,630 distinct values;
+            # on the sample rle estimates 3-5% over bps, dict 6.7-7.6%,
+            # plain ~35% and delta ~47%.
+            cands = [fn for fn in cands if fn in (_enc_bitpack, _enc_for, _enc_bps, _enc_vtop)]
     best, sample_score = _sampled_pick(arr, sample, cands, allow_vtop)
-    if saturated and _est_z(_enc_dict(sample)) < sample_score:
+    if saturated and _est_z(_enc_dict(sample), sample_score) < sample_score:
         full = _enc_dict(arr)
         if _est_z(full) < _est_z(best):
             return full
@@ -651,9 +716,8 @@ def _pick(cands: list, arr: np.ndarray, built: dict) -> dict:
     with _trials():
         # a generator: each loser is freed once scored, not held while the
         # winner's children are finished
-        best = min((e for e in (built[fn] if fn in built else fn(arr)
-                                for fn in _undominated(cands, arr)) if e is not None),
-                   key=_est_z)
+        best = _first_min(built[fn] if fn in built else fn(arr)
+                          for fn in _undominated(cands, arr))[0]
     return _finish(best)
 
 
@@ -667,17 +731,18 @@ def _sampled_pick(arr: np.ndarray, sample: np.ndarray, cands: list,
     # full column — e.g. token ids, where full-array vtop is ~10%
     # under bps.  It takes the explicit full-array trial below instead.
     cands = [fn for fn in cands if fn is not _enc_vtop]
-    scored = []
+    best_fn, score = None, math.inf
     with _trials():
-        for ci, enc_fn in enumerate(_undominated(cands, sample)):
+        for enc_fn in _undominated(cands, sample):
             e = enc_fn(sample)
             if e is not None:
-                # tie-break on candidate ORDER (deterministic across
-                # processes — id() would break byte-identical resume)
-                scored.append((_est_z(e), ci, enc_fn))
+                # scored against the lowest so far; ties go to the earlier
+                # candidate (deterministic across processes — id() would
+                # break byte-identical resume)
+                z = _est_z(e, score)
+                if z < score:
+                    best_fn, score = enc_fn, z
         e = None  # the last trial is not kept through the full-array builds
-    scored.sort(key=lambda t: (t[0], t[1]))
-    score, _, best_fn = scored[0]
     if allow_vtop and best_fn in (_enc_bitpack, _enc_bps, _enc_for):
         # compare vtop's full-array estimate against the winner's
         # sample estimate SCALED to n (exact for fixed-width
@@ -702,9 +767,54 @@ def _sampled_pick(arr: np.ndarray, sample: np.ndarray, cands: list,
     return best, score
 
 
+# ------------------------------------------------------ reuse in a block ----
+# ``blocks.encode_table`` encodes a block's columns inside ``block_scope``.
+# There ``encode_int_auto`` keeps each flat pick (``_REUSABLE``) of an array
+# of at most 4 * SAMPLE values, and an array of the same kind holding the
+# same values (a token list's lengths and its ``n_tok`` column) takes the
+# kept pick instead of running the trials again.  Selection on such an
+# array differs only by its dtype, which only ``plain`` reads: every other
+# candidate and every stand-in child builds from the values (int64 views,
+# narrow casts, the unique values), so they score as before and the kept
+# pick's payloads are the bytes its own build would give.  So the pick is
+# the kept one with the new dtype, or ``plain`` where it scores at most as
+# low on the new dtype (it is the first candidate, and the first of equal
+# scores wins).  Nothing is kept past the block.
+
+_BLOCK: dict | None = None
+_REUSABLE = ("bp", "for", "bps", "delta")
+
+
+@contextlib.contextmanager
+def block_scope():
+    """Picks kept for reuse by ``encode_int_auto`` until the scope ends."""
+    global _BLOCK
+    prev, _BLOCK = _BLOCK, {}
+    try:
+        yield
+    finally:
+        _BLOCK = prev
+
+
 def encode_int_auto(arr: np.ndarray) -> dict:
     """Encode an integer array with the auto-selected codec."""
-    return _best_int(arr)
+    if _BLOCK is None or len(arr) > 4 * SAMPLE:
+        return _best_int(arr)
+    # same kind: the comparison below is exact (int64 against uint64 would
+    # compare through float64)
+    key = (len(arr), arr.dtype.kind, int(arr.sum(dtype=np.int64)))
+    kept = _BLOCK.setdefault(key, [])
+    for prev, enc in kept:
+        if np.array_equal(prev, arr):
+            if prev.dtype != arr.dtype:
+                plain = _enc_plain(arr)
+                if _est_z(plain) <= _est_z(enc):
+                    return plain
+            return dict(enc, m=dict(enc["m"], dt=arr.dtype.str))
+    enc = _best_int(arr)
+    if enc["c"] in _REUSABLE:
+        kept.append((arr, enc))
+    return enc
 
 
 def decode_int(enc: dict) -> np.ndarray:

@@ -10,7 +10,8 @@ here once; `tests/test_hash_pins.py` pins their outputs.
 `hash_str` is the scalar reference; the span kernels are the vectorized
 forms used on hot paths: one numpy Horner pass over the flat byte
 buffer, spans sorted by length so each position touches only
-still-active spans — total work O(total bytes), no per-span Python.
+still-active spans, and the last few long spans finished one by one —
+total work O(total bytes), with per-span Python only on that tail.
 """
 
 from __future__ import annotations
@@ -81,9 +82,28 @@ def flat_utf8(
     return data, off, n
 
 
+_MASK = (1 << 64) - 1
+# Once at most this many spans are still active, each is finished on its
+# own (``finish``): a vectorized position costs a few numpy calls (~5 us)
+# whatever the number of spans, so one long span left alone in a batch
+# cost ~7 us per byte, 7 s for a 1 MB doc.
+_TAIL_SPANS = 16
+
+
 def _fnv_step(h: np.ndarray, row: np.ndarray) -> None:
     np.bitwise_xor(h, row, out=h)
     np.multiply(h, _PRIME, out=h)
+
+
+def _fnv_finish(h: np.ndarray, seg: np.ndarray) -> None:
+    """``_fnv_step`` over the elements of ``seg`` in turn, for the lanes
+    ``h`` of one span: xor and multiply do not commute, so a scalar loop."""
+    vals = seg.tolist()
+    for j in range(len(h)):
+        x = int(h[j])
+        for c in vals:
+            x = ((x ^ c) * _FNV_PRIME) & _MASK
+        h[j] = x
 
 
 def _poly_step(h: np.ndarray, row: np.ndarray) -> None:
@@ -91,7 +111,21 @@ def _poly_step(h: np.ndarray, row: np.ndarray) -> None:
     np.add(h, row, out=h)
 
 
-def _horner(data, starts, lengths, init, step) -> np.ndarray:
+def _poly_finish(h: np.ndarray, seg: np.ndarray) -> None:
+    """``_poly_step`` over all of ``seg`` (L elements) at once, in closed
+    form: h * P^L + sum(seg[i] * P^(L-1-i)) mod 2^64, the powers from a
+    wrapping uint64 cumulative product."""
+    pw = np.full(len(seg), _PRIME, dtype=np.uint64)
+    pw[0] = 1
+    with np.errstate(over="ignore"):
+        np.multiply.accumulate(pw, out=pw)  # pw[k] = P^k
+        tail = int(np.multiply(seg.astype(np.uint64), pw[::-1]).sum(dtype=np.uint64))
+    scale = int(pw[-1]) * _FNV_PRIME
+    for j in range(len(h)):
+        h[j] = (int(h[j]) * scale + tail) & _MASK
+
+
+def _horner(data, starts, lengths, init, step, finish) -> np.ndarray:
     """The shared active-suffix loop: uint64[len(init), n], lane j of
     span i folded from ``init[j]`` over ``data[starts[i]:starts[i] +
     lengths[i]]`` with ``step(h, row)``, where h holds every lane of the
@@ -100,7 +134,9 @@ def _horner(data, starts, lengths, init, step) -> np.ndarray:
     Spans are sorted by length, so position i touches only the suffix
     ``ls > i``, which stays the same up to the next span length; the
     element gather is shared by all lanes and done in place
-    (preallocated buffers, int32 indices when they fit)."""
+    (preallocated buffers, int32 indices when they fit).  Once at most
+    ``_TAIL_SPANS`` spans are left, ``finish(h_span, rest)`` folds each
+    one's remaining elements into its lanes, giving the same values."""
     n = len(starts)
     h = np.empty((len(init), n), dtype=np.uint64)
     h[:] = np.array(init, dtype=np.uint64)[:, None]
@@ -114,6 +150,11 @@ def _horner(data, starts, lengths, init, step) -> np.ndarray:
     j0 = int(np.searchsorted(ls, 0, side="right"))
     with np.errstate(over="ignore"):
         while j0 < n:
+            if n - j0 <= _TAIL_SPANS:
+                for j in range(j0, n):
+                    s0 = int(idx[j])
+                    finish(h[:, j], data[s0:s0 + int(ls[j]) - pos])
+                break
             end = int(ls[j0])  # the suffix from j0 stays active up to here
             hs, rs, ids = h[:, j0:], row[j0:], idx[j0:]
             for _ in range(end - pos):
@@ -134,7 +175,7 @@ def fnv1a_spans(
     → uint64[lanes, n].  Lane 0 is value-identical to ``hash_str`` per
     span; lane 1 (``lanes=2``) is the independent `_FNV_OFFSET2` family,
     sharing the byte gather, so two lanes cost ~1.5× one, not 2×."""
-    return _horner(data, starts, lengths, _FNV_BASES[:lanes], _fnv_step)
+    return _horner(data, starts, lengths, _FNV_BASES[:lanes], _fnv_step, _fnv_finish)
 
 
 def fnv1a_words2(data: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -161,7 +202,7 @@ def fnv1a_words2(data: np.ndarray, off: np.ndarray) -> np.ndarray:
         tgt = np.arange(total_b, dtype=np.int64)
         tgt += np.repeat(wo[:-1] * 8 - (off[:-1] - base), lengths)
         packed[tgt] = data[base : int(off[-1])]
-    h = _horner(packed.view(np.uint64), wo[:-1], nwords, _FNV_BASES, _fnv_step)
+    h = _horner(packed.view(np.uint64), wo[:-1], nwords, _FNV_BASES, _fnv_step, _fnv_finish)
     with np.errstate(over="ignore"):
         _fnv_step(h, lengths.astype(np.uint64))
     return h
@@ -173,7 +214,7 @@ def poly_spans(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     it O(total bytes) regardless of length skew — one 1 MB outlier doc
     in a batch costs its own bytes, not n_docs × max_len full-batch
     passes."""
-    return _horner(data, starts, lengths, (0,), _poly_step)[0]
+    return _horner(data, starts, lengths, (0,), _poly_step, _poly_finish)[0]
 
 
 def fnv1a_batch(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:

@@ -260,7 +260,9 @@ def rolling_hash(batch: pa.Table, text_col: str = "text", out: str = "rh") -> pa
     """64-bit polynomial rolling hash of the whole text (``h = h*P + b``
     from 0), vectorized with the length-sorted active-suffix pass
     (`poly_spans`) — O(total bytes), length-skew-proof: one huge doc in
-    a batch no longer forces full-batch passes per byte position."""
+    a batch no longer forces full-batch passes per byte position, and
+    once it is one of the last few spans left its tail is folded in
+    closed form rather than one vectorized pass per byte."""
     data, off, _ = flat_utf8(batch.column(text_col))
     out_h = poly_spans(data, off[:-1], np.diff(off))
     return batch.append_column(out, pa.array(out_h.view(np.int64), type=pa.int64()))

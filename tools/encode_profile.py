@@ -6,10 +6,11 @@ Cuts the perfbench token fixture of one seed by the benchmark's plan into
 - the median ``blocks.encode_table`` time of each block over ``--rounds``
   rounds, after one warm-up encode (and the container's zstd time of it,
   where ``encode_table`` reports one);
-- each column's median ``blocks.encode_array`` time per block;
 - the forced-winner floor: every block encoded with the codec trees it
   selected built directly, with no trials, asserted equal byte for byte to
   the selected block; selected minus forced is what selection costs;
+- each column's median ``blocks.encode_array`` time per block, selected and
+  forced, and their difference: what selecting that column's codecs costs;
 - ``intcodecs.WORK``: codec nodes built plus ``_est_z`` compressions over
   one encode of every block, an exact count where times are noisy.
 
@@ -24,6 +25,7 @@ back to back, alternating which goes first.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import os
 import statistics
@@ -131,6 +133,10 @@ def _forced(header: dict):
         yield
 
 
+# a checkout without block-scoped reuse encodes each column on its own
+_block_scope = getattr(ic, "block_scope", contextlib.nullcontext)
+
+
 def _timed(fn, *args, **kw):
     t0 = time.perf_counter()
     out = fn(*args, **kw)
@@ -163,6 +169,7 @@ def main() -> None:
     zstd = [[] for _ in tables]
     forced = [[] for _ in tables]
     cols = [{n: [] for n in names} for _ in tables]
+    cols_forced = [{n: [] for n in names} for _ in tables]
     for _ in range(args.rounds):
         for i, t in enumerate(tables):
             timings: dict = {}
@@ -178,8 +185,13 @@ def main() -> None:
             if blob != selected[i]:
                 raise SystemExit(f"block {i}: the forced block differs from the selected one")
             forced[i].append(dt)
-            for n in names:
-                cols[i][n].append(_timed(blocks.encode_array, t.column(n).combine_chunks())[1])
+            arrs = [(c, t.column(c["name"]).combine_chunks()) for c in headers[i]["columns"]]
+            with _block_scope():  # columns reuse picks as they do in encode_table
+                for c, arr in arrs:
+                    cols[i][c["name"]].append(_timed(blocks.encode_array, arr)[1])
+            for c, arr in arrs:
+                with _forced({"columns": [c]}):
+                    cols_forced[i][c["name"]].append(_timed(blocks.encode_array, arr)[1])
     print(f"seed {args.seed}: {len(tables)} blocks, {sum(t.num_rows for t in tables)} rows, "
           f"{args.rounds} rounds, medians in ms; forced blocks equal the selected ones")
     print("| block | rows | bytes | encode_table | forced | selection | zstd |")
@@ -192,11 +204,14 @@ def main() -> None:
     floor = [_med_ms(f) for f in forced]
     print(f"encode_table median per block: {statistics.median(per_block):.2f} ms "
           f"(forced floor {statistics.median(floor):.2f} ms)")
-    print("\n| column | encode_array median per block | min | max |")
-    print("|---|---|---|---|")
+    print("\n| column | encode_array median per block | min | max | forced | selection |")
+    print("|---|---|---|---|---|---|")
     for n in names:
         ms = [_med_ms(c[n]) for c in cols]
-        print(f"| {n} | {statistics.median(ms):.2f} | {min(ms):.2f} | {max(ms):.2f} |")
+        fs = [_med_ms(c[n]) for c in cols_forced]
+        sel = [m - f for m, f in zip(ms, fs)]
+        print(f"| {n} | {statistics.median(ms):.2f} | {min(ms):.2f} | {max(ms):.2f} "
+              f"| {statistics.median(fs):.2f} | {statistics.median(sel):.2f} |")
     print(f"\nintcodecs.WORK over one encode of every block: {work}")
 
 
