@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -220,7 +221,7 @@ def test_repetition_stats_counts():
     assert out.column("n_dup").to_pylist() == [4, 0, 0]
 
 
-def test_flag_contaminated_empty_bench_and_guard(ray_session):
+def test_flag_contaminated_empty_bench_and_guard(ray_session, monkeypatch):
     import ray.data
 
     train = ray.data.from_arrow(
@@ -234,8 +235,9 @@ def test_flag_contaminated_empty_bench_and_guard(ray_session):
     big_bench = ray.data.from_arrow(
         pa.table({"doc_id": [9], "text": ["a b c d e f g h i j"]})
     )
+    monkeypatch.setattr(dedup, "_MAX_BENCH_SHINGLES", 2)
     with pytest.raises(ValueError, match="hash-partition"):
-        dedup.flag_contaminated(train, big_bench, max_bench_shingles=2)
+        dedup.flag_contaminated(train, big_bench)
 
 
 def test_exact_dedup_keeps_min_id(ray_session):
@@ -291,7 +293,7 @@ def test_minhash_char_mode_separates_similar_docs():
     assert (sig[0] == sig[1]).mean() > 0.5 > (sig[0] == sig[2]).mean()
 
 
-def test_ngram_lsh_pipeline_finds_injected_near_dups(ray_session):
+def test_ngram_lsh_pipeline_finds_injected_near_dups(ray_session, monkeypatch):
     """End-to-end n-gram Jaccard dedup: char-shingle LSH candidates +
     exact char-4-gram verification, broadcast AND shuffle plans equal."""
     import ray.data
@@ -307,8 +309,9 @@ def test_ngram_lsh_pipeline_finds_injected_near_dups(ray_session):
     broadcast = sorted(map(key, dedup.verify_jaccard(
         ds, pairs, tau=0.7, shingle="char", k=4)))
     assert any((a, b) == (0, 30) for a, b, _ in broadcast)
+    monkeypatch.setattr(dedup, "_MAX_BROADCAST_PAIRS", 0)
     shuffled = sorted(map(key, dedup.verify_jaccard(
-        ds, pairs, tau=0.7, shingle="char", k=4, max_broadcast_pairs=0)))
+        ds, pairs, tau=0.7, shingle="char", k=4)))
     assert broadcast == shuffled
     # verified scores must equal the scalar reference
     for a, b, j in broadcast:
@@ -642,7 +645,9 @@ def test_verify_jaccard_distributed_matches_exact(ray_session):
     assert all(b != 99 for _, b, _ in got)
 
 
-def test_verify_jaccard_shuffle_fallback_matches_broadcast(ray_session, tmp_path):
+def test_verify_jaccard_shuffle_fallback_matches_broadcast(
+    ray_session, tmp_path, monkeypatch
+):
     """The shuffle-join plan (pair list too big for the driver) must
     produce exactly the broadcast plan's output (VERDICT r2 next #4).
     Uses a LAZY read_parquet dataset — from_arrow would mask
@@ -666,14 +671,13 @@ def test_verify_jaccard_shuffle_fallback_matches_broadcast(ray_session, tmp_path
     broadcast = sorted(
         map(key, dedup.verify_jaccard(ds, pairs, tau=0.3))
     )
-    shuffled = sorted(
-        map(key, dedup.verify_jaccard(ds, pairs, tau=0.3, max_broadcast_pairs=0))
-    )
+    monkeypatch.setattr(dedup, "_MAX_BROADCAST_PAIRS", 0)
+    shuffled = sorted(map(key, dedup.verify_jaccard(ds, pairs, tau=0.3)))
     assert broadcast == shuffled and len(broadcast) >= 6
 
 
 def test_verify_jaccard_three_plans_agree(ray_session, tmp_path, monkeypatch):
-    """Pair broadcast, set broadcast (more pairs than max_broadcast_pairs)
+    """Pair broadcast, set broadcast (more pairs than _MAX_BROADCAST_PAIRS)
     and shuffle join (shingle sets over _MAX_BROADCAST_SHINGLES) verify
     the same pairs with the same scores as a driver-side exact Jaccard,
     including a pair with a missing doc, an empty-text doc and a doc id
@@ -710,17 +714,19 @@ def test_verify_jaccard_three_plans_agree(ray_session, tmp_path, monkeypatch):
     want = sorted((a, b, round(jac(a, b), 4)) for a, b in set(cand) if jac(a, b) >= 0.3)
     assert any(a == 0 and b == 24 for a, b, _ in want)
     key = lambda r: (r["a"], r["b"], r["jaccard"])
-    run = lambda **kw: sorted(map(key, dedup.verify_jaccard(ds, pairs, tau=0.3, **kw)))
+    run = lambda: sorted(map(key, dedup.verify_jaccard(ds, pairs, tau=0.3)))
     assert run() == want  # pair broadcast
     # the set broadcast scores each pairs batch in place: it never sorts
     # (a, b, sh) rows
+    monkeypatch.setattr(dedup, "_MAX_BROADCAST_PAIRS", 0)
     monkeypatch.setattr(dedup, "_score_shingle_rows", None)
-    assert run(max_broadcast_pairs=0) == want
+    assert run() == want
     monkeypatch.setattr(dedup, "_SET_ROWS_PER_CALL", 150)
-    assert run(max_broadcast_pairs=0) == want  # a few pairs per kernel call
+    assert run() == want  # a few pairs per kernel call
     monkeypatch.undo()
+    monkeypatch.setattr(dedup, "_MAX_BROADCAST_PAIRS", 0)
     monkeypatch.setattr(dedup, "_MAX_BROADCAST_SHINGLES", 0)
-    assert run(max_broadcast_pairs=0) == want  # shuffle join
+    assert run() == want  # shuffle join
 
 
 def test_score_pairs_on_sets_matches_sorted_rows():
@@ -873,7 +879,7 @@ def test_band_join_count_semantics(ray_session):
 
 
 def _skewed_join_tables(n_left=2000, n_right=400, seed=5):
-    """90% of rows on ONE key (the hot-key scenario salting exists for)."""
+    """90% of rows on ONE key: the hot key spans many sorted blocks."""
     import datetime as dt
 
     rng = np.random.default_rng(seed)
@@ -898,57 +904,150 @@ def _skewed_join_tables(n_left=2000, n_right=400, seed=5):
     return left, right
 
 
-def test_asof_join_salted_matches_unsalted(ray_session):
-    """Time-range salting must produce the identical result on a 90%
-    hot key, with per-(key,bucket) phase-1 groups bounded far below the
-    unsalted hot group (VERDICT r2 next #9)."""
+def _block_edge_join_tables():
+    """`_skewed_join_tables` plus rows that put the as-of carry to work
+    once the sort cuts them into small blocks: key 30 has one right
+    before 600 lefts (all-left blocks that must pass the carry on), keys
+    31-60 each have three lefts before their only right (blocks that
+    start in a key with no earlier right, and key runs after a carried
+    first key), and key 20 has 400 rights each tied with a left at the
+    same ts (a tie split across a block edge)."""
+    left, right = _skewed_join_tables()
+    us = lambda v: pa.array(np.asarray(v, np.int64)).cast(pa.timestamp("us"))
+    small = np.repeat(np.arange(31, 61), 3)
+    ties = np.arange(400) * 1_000_000
+    lk = np.concatenate([np.full(600, 30), small, np.full(400, 20)])
+    lt = np.concatenate(
+        [np.arange(1, 601) * 1_000_000, np.tile([1, 2, 3], 30) * 1_000_000, ties]
+    )
+    rk = np.concatenate([[30], np.arange(31, 61), np.full(400, 20)])
+    rt = np.concatenate([[0], np.full(30, 10_000_000), ties])
+    n0 = left.num_rows
+    left = pa.concat_tables([left, pa.table({
+        "event_id": pa.array(np.arange(n0, n0 + len(lk)), pa.int64()),
+        "user_id": pa.array(lk, pa.int64()),
+        "ts": us(lt),
+    })])
+    right = pa.concat_tables([right, pa.table({
+        "user_id": pa.array(rk, pa.int64()), "ts": us(rt),
+    })])
+    return left, right
+
+
+def _ts_us(col) -> np.ndarray:
+    return col.cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
+
+
+def _asof_reference(left, right):
+    """Brute force: per left row, the greatest same-key right ts <= its ts."""
+    lk, lt = left.column("user_id").to_numpy(), _ts_us(left.column("ts"))
+    rk, rt = right.column("user_id").to_numpy(), _ts_us(right.column("ts"))
+    ids, ts = [], []
+    for e, k, t in zip(left.column("event_id").to_numpy(), lk, lt):
+        hit = rt[(rk == k) & (rt <= t)]
+        if len(hit):
+            ids.append(e)
+            ts.append(hit.max())
+    return pd.DataFrame({"event_id": ids, "asof_ts": np.array(ts, "datetime64[us]")})
+
+
+def _band_reference(left, right, lo, hi):
+    lk, lt = left.column("user_id").to_numpy(), _ts_us(left.column("ts"))
+    rk, rt = right.column("user_id").to_numpy(), _ts_us(right.column("ts"))
+    ids, ns = [], []
+    for e, k, t in zip(left.column("event_id").to_numpy(), lk, lt):
+        n = int(((rk == k) & (rt >= t + lo) & (rt <= t + hi)).sum())
+        if n:
+            ids.append(e)
+            ns.append(n)
+    return pd.DataFrame({"event_id": ids, "n": ns})
+
+
+def _frame(ds, key):
+    out = ds.to_pandas().sort_values(key).reset_index(drop=True)
+    for c in out.columns:
+        if str(out[c].dtype).startswith("datetime"):
+            out[c] = out[c].astype("datetime64[us]")
+    return out
+
+
+def test_asof_join_matches_reference_across_block_edges(ray_session):
+    """Many small sorted blocks (16 per side): a hot key spread over
+    blocks, all-left blocks behind the key's only right, blocks starting
+    in a key with no earlier right and equal-ts ties cut by an edge all
+    match a brute-force as-of."""
     import ray.data
 
     from tokcodec.functions.joins import asof_join
 
-    left, right = _skewed_join_tables()
-    kw = dict(
+    left, right = _block_edge_join_tables()
+    got = _frame(asof_join(
+        ray.data.from_arrow(left).repartition(16),
+        ray.data.from_arrow(right).repartition(16),
         left_key="user_id", right_key="user_id", left_ts="ts", right_ts="ts",
         left_cols=["event_id"], out_ts="asof_ts",
+    ), "event_id")
+    want = _asof_reference(left, right)
+    assert len(want) > 2500
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_asof_carry_stitch_on_chosen_block_edges():
+    """The three block-edge cases cut exactly where they bite, with the
+    summaries stitched in shuffled order: a right and a left at equal
+    (k, t) on either side of an edge (B); a key whose only earlier right
+    is two blocks back behind the all-left block B (C); a block that
+    starts in a key with no earlier right, after a block that ends in a
+    right of another key (D); and a one-tuple all-left block (E) tied
+    on its first tuple with the next block (F)."""
+    from tokcodec.functions.joins import _asof_block, _block_summary, _stitch_carries
+
+    R, L = 0, 1
+    blocks = [
+        [(1, 10, R, -1), (1, 20, L, 0), (1, 30, R, -1)],  # A
+        [(1, 30, L, 1), (1, 40, L, 2)],  # B
+        [(1, 50, L, 3), (2, 5, L, 4), (2, 7, R, -1), (2, 8, L, 5)],  # C
+        [(3, 1, L, 6), (3, 2, R, -1), (3, 3, L, 7)],  # D
+        [(3, 3, L, 8)],  # E
+        [(3, 3, L, 9), (4, 1, R, -1), (4, 2, L, 10)],  # F
+    ]
+    tables = [
+        pa.table({
+            "k": pa.array([r[0] for r in b], pa.int64()),
+            "t": pa.array([r[1] for r in b], pa.int64()),
+            "side": pa.array([r[2] for r in b], pa.int8()),
+            "l_event_id": pa.array([r[3] for r in b], pa.int64()),
+        })
+        for b in blocks
+    ]
+    summaries = [r for t in tables for r in _block_summary(t).to_pylist()]
+    np.random.default_rng(0).shuffle(summaries)
+    carries = _stitch_carries(summaries)
+    out = pa.concat_tables(
+        _asof_block(t, carries, {"event_id": pa.int64()}, ["event_id"], "asof_ts")
+        for t in tables
     )
-    plain = asof_join(
-        ray.data.from_arrow(left), ray.data.from_arrow(right), **kw
-    ).to_pandas().sort_values("event_id").reset_index(drop=True)
-    width = 10_000_000_000  # 10k seconds -> ~10 buckets over the range
-    salted = asof_join(
-        ray.data.from_arrow(left), ray.data.from_arrow(right),
-        salt_width_us=width, **kw
-    ).to_pandas().sort_values("event_id").reset_index(drop=True)
-    assert plain.equals(salted) and len(plain) > 1000
-    # bound check: the hot key's largest (key,bucket) group is far
-    # smaller than its unsalted group
-    lt = left.column("ts").cast(pa.int64()).to_numpy()
-    hot = left.column("user_id").to_numpy() == 7
-    unsalted_group = int(hot.sum())
-    b = lt[hot] // width
-    biggest = int(np.bincount((b - b.min()).astype(np.int64)).max())
-    assert biggest < unsalted_group / 5
+    got = dict(zip(out.column("event_id").to_pylist(),
+                   out.column("asof_ts").cast(pa.int64()).to_pylist()))
+    assert got == {0: 10, 1: 30, 2: 30, 3: 30, 5: 7, 7: 2, 8: 2, 9: 2, 10: 1}
 
 
-def test_band_join_salted_matches_unsalted(ray_session):
+def test_band_join_matches_reference_across_block_edges(ray_session):
     import ray.data
 
     from tokcodec.functions.joins import band_join_count
 
-    left, right = _skewed_join_tables(seed=6)
-    kw = dict(
+    left, right = _block_edge_join_tables()
+    lo, hi = -3_600_000_000, 3_600_000_000
+    got = _frame(band_join_count(
+        ray.data.from_arrow(left).repartition(16),
+        ray.data.from_arrow(right).repartition(16),
         left_key="user_id", right_key="user_id", left_ts="ts", right_ts="ts",
-        left_cols=["event_id"],
-        lo_offset_us=-3_600_000_000, hi_offset_us=3_600_000_000,
-    )
-    plain = band_join_count(
-        ray.data.from_arrow(left), ray.data.from_arrow(right), **kw
-    ).to_pandas().sort_values("event_id").reset_index(drop=True)
-    salted = band_join_count(
-        ray.data.from_arrow(left), ray.data.from_arrow(right),
-        salt_width_us=5_000_000_000, **kw
-    ).to_pandas().sort_values("event_id").reset_index(drop=True)
-    assert plain.equals(salted) and len(plain) > 500
+        left_cols=["event_id"], lo_offset_us=lo, hi_offset_us=hi,
+    ), "event_id")
+    want = _band_reference(left, right, lo, hi)
+    assert len(want) > 2000
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 def test_hll_accuracy_and_determinism(ray_session):

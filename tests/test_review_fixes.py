@@ -399,12 +399,46 @@ def test_band_join_null_ts_rows_never_crash_or_match(ray_session):
             "rt": pa.array([90, None, 110], pa.int64()),
         }
     )
-    for salt in (None, 1000):
-        out = band_join_count(
-            ray.data.from_arrow(left), ray.data.from_arrow(right),
-            "k", "k", "lt", "rt", ["tag"], -20, 20, salt_width_us=salt,
-        ).to_pandas()
-        assert list(out["tag"]) == ["a"] and list(out["n"]) == [2]
+    out = band_join_count(
+        ray.data.from_arrow(left), ray.data.from_arrow(right),
+        "k", "k", "lt", "rt", ["tag"], -20, 20,
+    ).to_pandas()
+    assert list(out["tag"]) == ["a"] and list(out["n"]) == [2]
+
+
+def test_join_revenue_by_nation_probes(ray_session, tmp_path):
+    """The star join's two index_in + take probes: no ASIA supplier
+    gives an empty result; one ASIA supplier gives its exact revenue."""
+    import pyarrow.parquet as pq
+
+    from tokcodec.pipelines.queries import join_revenue_by_nation
+
+    def write(d, supp_nation):
+        d.mkdir()
+        pq.write_table(pa.table({
+            "r_regionkey": pa.array([0, 1], pa.int32()), "r_name": ["ASIA", "EUROPE"],
+        }), d / "region.parquet")
+        pq.write_table(pa.table({
+            "n_nationkey": pa.array([5, 6], pa.int32()), "n_name": ["JAPAN", "FRANCE"],
+            "n_regionkey": pa.array([0, 1], pa.int32()),
+        }), d / "nation.parquet")
+        pq.write_table(pa.table({
+            "s_suppkey": pa.array([10, 11], pa.int64()),
+            "s_nationkey": pa.array(supp_nation, pa.int32()),
+        }), d / "supplier.parquet")
+        pq.write_table(pa.table({
+            "l_suppkey": pa.array([10, 11, 10, 12], pa.int64()),
+            "l_extendedprice": [100.25, 7.0, 3.5, 9.0],
+            "l_discount": [0.05, 0.0, 0.1, 0.0],
+        }), d / "lineitem.parquet")
+        return str(d)
+
+    none = join_revenue_by_nation(write(tmp_path / "none", [6, 6])).to_pandas()
+    assert len(none) == 0
+    one = join_revenue_by_nation(write(tmp_path / "one", [5, 6])).to_pandas()
+    # supplier 10 only: 10025 * 95 + 350 * 90
+    assert one["n_name"].tolist() == ["JAPAN"]
+    assert one["revenue"].tolist() == [10025 * 95 + 350 * 90]
 
 
 def test_sessionize_rejects_null_user_or_ts(ray_session):

@@ -10,7 +10,7 @@ Scale notes (100 TB design):
   exploded to (band, band_hash, doc_id) rows, one `groupby` over band
   buckets → candidate pairs (np.triu_indices emission, capped buckets,
   native-aggregate distinct); exact-Jaccard verification auto-selects a
-  broadcast pair-index plan or — above `max_broadcast_pairs` — a
+  broadcast pair-index plan or — above `_MAX_BROADCAST_PAIRS` — a
   broadcast of the corpus's shingle sets scored per pair batch, or —
   when those sets are too big to broadcast — a shuffle-join plan with zero
   driver pair state.
@@ -322,6 +322,10 @@ def lsh_candidate_pairs(ds, text_col: str = "text", id_col: str = "doc_id", **kw
     ).select_columns(["a", "b"])
 
 
+# candidate pairs above which the doc→pairs index stops being broadcast
+_MAX_BROADCAST_PAIRS = 100_000
+
+
 def verify_jaccard(
     ds,
     pairs,
@@ -329,7 +333,6 @@ def verify_jaccard(
     id_col="doc_id",
     k: int = 3,
     tau: float = 0.5,
-    max_broadcast_pairs: int = 100_000,
     shingle: str = "word",
 ):
     """Exact shingle-set Jaccard for candidate pairs (word k-shingles by
@@ -337,7 +340,7 @@ def verify_jaccard(
     driver.  Three execution plans, auto-selected on candidate-pair
     count, then on the corpus's shingle-set size:
 
-    * pair broadcast (<= `max_broadcast_pairs`): the doc→pairs index
+    * pair broadcast (<= `_MAX_BROADCAST_PAIRS`): the doc→pairs index
       (ids only, no text/shingles) is ray.put once; a map_batches pass
       over the corpus emits flat (a, b, sh) rows for involved docs only —
       per-doc-distinct shingles, fully vectorized.
@@ -364,7 +367,7 @@ def verify_jaccard(
     n_pairs = pairs.count()
     if n_pairs == 0:
         return []
-    if n_pairs > max_broadcast_pairs:
+    if n_pairs > _MAX_BROADCAST_PAIRS:
         sets = ds.map_batches(
             _doc_shingle_rows, fn_args=(text_col, id_col, k, shingle),
             batch_format="pyarrow",
@@ -687,6 +690,9 @@ def _score_shingle_rows(rows, tau: float):
 
 # ---------------------------------------------- benchmark decontamination ----
 
+# benchmark shingle hashes gathered on the driver (~400 MB of uint64)
+_MAX_BENCH_SHINGLES = 50_000_000
+
 
 def flag_contaminated(
     ds,
@@ -695,7 +701,6 @@ def flag_contaminated(
     id_col: str = "doc_id",
     k: int = 3,
     shingle: str = "word",
-    max_bench_shingles: int = 50_000_000,
 ):
     """Benchmark decontamination: flag every training doc that shares at
     least ONE k-shingle with the benchmark corpus; returns a Dataset of
@@ -705,7 +710,7 @@ def flag_contaminated(
     Scale shape: eval sets are tiny next to a training corpus, so the
     benchmark folds DISTRIBUTIVELY to per-block distinct shingle hashes,
     the driver merges only fixed-width hash arrays (guarded by
-    ``max_bench_shingles`` ≈ 400 MB of uint64 — above that,
+    ``_MAX_BENCH_SHINGLES`` ≈ 400 MB of uint64 — above that,
     hash-partition both sides instead of broadcasting), and the sorted
     set ships ONCE via ray.put; the corpus pass is one `map_batches`
     with vectorized searchsorted membership — no shuffle, the corpus
@@ -725,9 +730,9 @@ def flag_contaminated(
     ).iter_batches(batch_format="pyarrow"):
         arr = part.column("sh").to_numpy(zero_copy_only=False)
         total += len(arr)
-        if total > max_bench_shingles:
+        if total > _MAX_BENCH_SHINGLES:
             raise ValueError(
-                f"benchmark shingle set exceeds {max_bench_shingles} hashes; "
+                f"benchmark shingle set exceeds {_MAX_BENCH_SHINGLES} hashes; "
                 "hash-partition both sides instead of broadcasting"
             )
         chunks.append(arr)

@@ -1,18 +1,22 @@
 """Join operators Ray Data's Dataset API lacks, built as compositions
-(the brief's custom-operator tier (a): map_batches + union +
-groupby().map_groups — one hash exchange, no driver-side state).
+(the brief's custom-operator tier (a): map_batches + union + one native
+sort — no per-key Python, driver state O(blocks)).
 
 `asof_join`: for each left row, match the single right row with the
 same key and the greatest right timestamp <= the left timestamp
 (direction='backward') — the event-to-latest-state join every
-training-data/session pipeline needs.  Partitioning assumption: rows
-co-locate by the join KEY (the groupby's hash exchange provides it);
-each key group must fit one worker's heap — at 100 TB salt hot keys by
-time range first.
+training-data/session pipeline needs.  One sort by (key, ts, side)
+range-partitions on all three columns, so a hot key spreads over many
+blocks; the latest right of a key crosses block edges through a carry
+stitched on the driver (the `sessionize` shape).
 
-Group frames use batch_format="pyarrow" throughout: payload columns
-keep their exact Arrow types (a pandas group frame would promote
-nullable int64 to float64, corrupting ids >= 2^53).
+`band_join_count`: per left row, the count of same-key rights inside a
+time window.  One sort by key (`sorted_group_apply`): each key group
+is scored whole, so one key must fit a worker's heap.
+
+Frames use batch_format="pyarrow" throughout: payload columns keep
+their exact Arrow types (a pandas frame would promote nullable int64
+to float64, corrupting ids >= 2^53).
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import pyarrow.compute as pc
 
 from tokcodec.functions.sortagg import group_slices, sorted_group_apply
 
+_TS = pa.timestamp("us")
+
 
 def _tag_sides(left, right, left_key, right_key, left_ts, right_ts, left_cols):
     """Project both sides to one (k, t, side, l_<payload>...) schema —
@@ -32,10 +38,9 @@ def _tag_sides(left, right, left_key, right_key, left_ts, right_ts, left_cols):
     Rows with a NULL key or NULL timestamp are dropped HERE, on both
     sides: SQL's comparisons never match on NULL and both joins are
     inner, so such rows contribute nothing — and letting them through
-    turns into NaN inside the int64 lexsort/searchsorted/bucket math
-    downstream, where a NULL-ts left silently matches the group's max
-    right ts (vs the oracle dropping it) and the salted band bucket
-    arithmetic crashes on negative NaN-cast repeat counts."""
+    turns into NaN inside the int64 sort/searchsorted math downstream,
+    where a NULL-ts left silently matches the key's latest right ts (vs
+    the oracle dropping it)."""
     lsch = left.schema()
     types = dict(zip(lsch.names, lsch.types))
 
@@ -82,6 +87,89 @@ def _empty_result(types: dict, left_cols: list[str], extra: str, extra_type) -> 
     return pa.table(cols)
 
 
+_TAG = ("k0", "t0", "s0", "k1", "t1", "s1")
+
+
+def _tag(k: np.ndarray, t: np.ndarray, side: np.ndarray) -> tuple:
+    """A sorted block's first and last (k, t, side): its place in the
+    global order."""
+    return tuple(int(v) for v in (k[0], t[0], side[0], k[-1], t[-1], side[-1]))
+
+
+def _block_summary(b: pa.Table) -> pa.Table:
+    """One row per non-empty sorted block: its tag and the latest right
+    t in its last key's run (null when that run has no right)."""
+    if b.num_rows == 0:
+        return pa.table({c: pa.array([], pa.int64()) for c in (*_TAG, "rt")})
+    k = b.column("k").to_numpy(zero_copy_only=False)
+    t = b.column("t").to_numpy(zero_copy_only=False)
+    side = b.column("side").to_numpy(zero_copy_only=False)
+    run = int(np.searchsorted(k, k[-1]))  # k ascends within the block
+    rights = np.flatnonzero(side[run:] == 0)
+    rt = int(t[run + rights[-1]]) if len(rights) else None
+    row = dict(zip(_TAG, _tag(k, t, side)), rt=rt)
+    return pa.table({c: pa.array([v], pa.int64()) for c, v in row.items()})
+
+
+def _stitch_carries(summaries: list[dict]) -> dict:
+    """Walk the blocks in global order and give each the latest right t
+    of its first key from EARLIER blocks: {tag: carry} for the blocks
+    that have one.  A block whose last run holds a right sets the
+    carry; a block of one key and no right passes it through; any other
+    block ends in a key that starts inside it, so nothing carries.
+    Ordering by the whole tag (first, then last tuple) puts a block
+    that is one tuple throughout before a block that starts with the
+    same tuple and goes on past it."""
+    carries: dict = {}
+    key, carry = None, None
+    walk = sorted(((tuple(r[c] for c in _TAG), r["rt"]) for r in summaries),
+                  key=lambda tr: tr[0])
+    for tag, rt in walk:
+        k0, k1 = tag[0], tag[3]
+        cin = carry if key == k0 else None
+        if cin is not None:
+            carries[tag] = cin
+        if rt is not None:
+            carry = rt
+        else:
+            carry = cin if k1 == k0 else None
+        key = k1
+    return carries
+
+
+def _asof_block(b: pa.Table, carries: dict, types: dict, left_cols, out_ts) -> pa.Table:
+    """As-of matches of one sorted block: a forward-fill of the last
+    right row index (np.maximum.accumulate) reset at key changepoints;
+    lefts of the block's first key with no right before them in the
+    block take the block's carry."""
+    n = b.num_rows
+    if n == 0:
+        return _empty_result(types, left_cols, out_ts, _TS)
+    k = b.column("k").to_numpy(zero_copy_only=False)
+    t = b.column("t").to_numpy(zero_copy_only=False)
+    side = b.column("side").to_numpy(zero_copy_only=False)
+    ridx = np.where(side == 0, np.arange(n), -1)
+    np.maximum.accumulate(ridx, out=ridx)
+    new = np.empty(n, bool)
+    new[0] = True
+    new[1:] = k[1:] != k[:-1]
+    gstart = np.maximum.accumulate(np.where(new, np.arange(n), 0))
+    is_left = side == 1
+    matched = is_left & (ridx >= gstart)
+    asof = t[ridx]  # meaningless where unmatched; masked below
+    carry = carries.get(_tag(k, t, side))
+    if carry is not None:
+        fill = is_left & ~matched & (gstart == 0)
+        asof[fill] = carry
+        matched |= fill
+    if not matched.any():
+        return _empty_result(types, left_cols, out_ts, _TS)
+    take = pa.array(np.flatnonzero(matched), pa.int64())
+    cols = {c: b.column(f"l_{c}").take(take) for c in left_cols}
+    cols[out_ts] = pa.array(asof[matched], pa.int64()).cast(_TS)
+    return pa.table(cols)
+
+
 def asof_join(
     left,
     right,
@@ -91,217 +179,33 @@ def asof_join(
     right_ts: str,
     left_cols: list[str],
     out_ts: str = "asof_ts",
-    salt_width_us: int | None = None,
 ):
     """Backward as-of join (inner): rows of `left` that have a right
     match emit `left_cols` + `out_ts` (the matched right timestamp,
     timestamp[us]).  Semantics match DuckDB's
     ``ASOF JOIN right ON left_key = right_key AND right_ts <= left_ts``.
 
-    Composition: both sides project to a common (key, t, side, payload)
-    schema, union, ONE groupby(key) hash exchange, then a vectorized
-    sorted-merge (np.searchsorted) per key group.
+    Composition: both sides project to a common (k, t, side, payload)
+    schema and union; ONE sort by (k, t, side) — rights (side 0) before
+    lefts at equal t, for the inclusive rt <= lt bound.  Pass 1 emits a
+    summary row per sorted block (`_block_summary`); the driver
+    stitches them into per-block carries (`_stitch_carries`, O(blocks)),
+    ray.put once; pass 2 matches each block with its carry
+    (`_asof_block`)."""
+    import ray
 
-    `salt_width_us` — HOT-KEY SALTING (the 100 TB path): groups become
-    (key, time-bucket) so one dominant key no longer lands on a single
-    worker.  Phase 1 matches in-bucket and emits (a) finished rows,
-    (b) unmatched lefts, (c) ONE max-right-ts summary row per bucket;
-    phase 2 regroups ONLY (b)+(c) by key — any right in an earlier
-    bucket satisfies rt <= lt by construction, so the answer for an
-    unmatched left is the prefix-max summary over earlier buckets.
-    Output is identical to the unsalted plan."""
     tagged, types = _tag_sides(
         left, right, left_key, right_key, left_ts, right_ts, left_cols
     )
-
-    def merge(g: pa.Table) -> pa.Table:
-        """Fully vectorized multi-key as-of merge: one lexsort by
-        (k, t, side) — rights before lefts at equal t for the inclusive
-        rt <= lt bound — then a forward-fill of the last right row index
-        (np.maximum.accumulate), reset at key boundaries via the
-        segment-start gather.  No per-key Python at all."""
-        n = g.num_rows
-        if n == 0:
-            return _empty_result(types, left_cols, out_ts, pa.timestamp("us"))
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        t = g.column("t").to_numpy(zero_copy_only=False)
-        side = g.column("side").to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, t, k))
-        ks, ts, ss = k[order], t[order], side[order]
-        ridx = np.where(ss == 0, np.arange(n), -1)
-        np.maximum.accumulate(ridx, out=ridx)
-        new = np.empty(n, bool)
-        new[0] = True
-        new[1:] = ks[1:] != ks[:-1]
-        gstart = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-        valid = (ss == 1) & (ridx >= gstart)
-        if not valid.any():
-            return _empty_result(types, left_cols, out_ts, pa.timestamp("us"))
-        take = pa.array(order[valid], pa.int64())
-        cols = {c: g.column(f"l_{c}").take(take) for c in left_cols}
-        cols[out_ts] = pa.array(ts[ridx[valid]], type=pa.int64()).cast(
-            pa.timestamp("us")
-        )
-        return pa.table(cols)
-
-    if salt_width_us is None:
-        return sorted_group_apply(tagged, ["k"], merge)
-    return _asof_join_salted(tagged, types, left_cols, out_ts, salt_width_us)
-
-
-def _asof_join_salted(tagged, types, left_cols, out_ts, width_us: int):
-    """Two-phase salted as-of merge (see asof_join docstring)."""
-    w = np.int64(max(int(width_us), 1))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        t = batch.column("t").to_numpy(zero_copy_only=False)
-        return batch.append_column("b", pa.array(t // w, pa.int64()))
-
-    def merge1(g: pa.Table) -> pa.Table:
-        """Fully vectorized phase 1 over all (k, b) groups in a block:
-        the same lexsort + forward-fill as the unsalted merge (segments
-        reset at (k, b) changepoints) classifies every left row as
-        matched/unmatched in one pass; per-group max-right summaries
-        fall out of a gather at group-end positions (the forward-filled
-        right index at the last row of a group IS its max right t,
-        because rights sort before lefts at equal t and t ascends)."""
-        n = g.num_rows
-        kinds, kk, bb, tt, asof, takes = [], [], [], [], [], []
-        if n:
-            k = g.column("k").to_numpy(zero_copy_only=False)
-            b = g.column("b").to_numpy(zero_copy_only=False)
-            t = g.column("t").to_numpy(zero_copy_only=False)
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            order = np.lexsort((side, t, b, k))
-            ks, bs, ts, ss = k[order], b[order], t[order], side[order]
-            ridx = np.where(ss == 0, np.arange(n), -1)
-            np.maximum.accumulate(ridx, out=ridx)
-            new = np.empty(n, bool)
-            new[0] = True
-            new[1:] = (ks[1:] != ks[:-1]) | (bs[1:] != bs[:-1])
-            starts = np.flatnonzero(new)
-            ends = np.append(starts[1:], n)
-            gstart = np.maximum.accumulate(np.where(new, np.arange(n), 0))
-            is_left = ss == 1
-            matched = is_left & (ridx >= gstart)
-            unmatched = is_left & ~matched
-            for kind, mask in ((0, matched), (1, unmatched)):
-                if not mask.any():
-                    continue
-                m = int(mask.sum())
-                kinds.append(np.full(m, kind, np.int8))
-                kk.append(ks[mask])
-                bb.append(bs[mask])
-                tt.append(ts[mask])
-                asof.append(
-                    pa.array(ts[ridx[mask]], pa.int64())
-                    if kind == 0
-                    else pa.nulls(m, pa.int64())
-                )
-                takes.append(order[mask])
-            has_r = ridx[ends - 1] >= starts  # group contains a right row
-            if has_r.any():
-                sm_t = ts[ridx[ends[has_r] - 1]]
-                m = int(has_r.sum())
-                kinds.append(np.full(m, 2, np.int8))
-                kk.append(ks[starts[has_r]])
-                bb.append(bs[starts[has_r]])
-                tt.append(sm_t)
-                asof.append(pa.array(sm_t, pa.int64()))
-                takes.append(None)
-        cols = {
-            "kind": pa.array(
-                np.concatenate(kinds) if kinds else np.empty(0, np.int8)
-            ),
-            "k": pa.array(
-                np.concatenate(kk) if kk else np.empty(0, np.int64), pa.int64()
-            ),
-            "b": pa.array(
-                np.concatenate(bb) if bb else np.empty(0, np.int64), pa.int64()
-            ),
-            "t": pa.array(
-                np.concatenate(tt) if tt else np.empty(0, np.int64), pa.int64()
-            ),
-            "asof": pa.concat_arrays(
-                [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-                 for a in asof]
-            ) if asof else pa.nulls(0, pa.int64()),
-        }
-        for c in left_cols:
-            parts = [
-                g.column(f"l_{c}").take(pa.array(ix, pa.int64())).combine_chunks()
-                if ix is not None
-                else pa.nulls(len(kinds[j]), type=types[c])
-                for j, ix in enumerate(takes)
-            ]
-            cols[f"l_{c}"] = (
-                pa.concat_arrays(
-                    [p if isinstance(p, pa.Array) else p.combine_chunks()
-                     for p in parts]
-                )
-                if parts
-                else pa.nulls(0, type=types[c])
-            )
-        return pa.table(cols)
-
-    def merge2(g: pa.Table) -> pa.Table:
-        """Phase 2 over all key groups in a block: changepoint slices
-        (groups lacking a pending or summary row never reach Python),
-        per-group prefix-max over earlier-bucket summaries."""
-        empty = _empty_result(types, left_cols, out_ts, pa.timestamp("us"))
-        if g.num_rows == 0:
-            return empty
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        b = g.column("b").to_numpy(zero_copy_only=False)
-        t = g.column("t").to_numpy(zero_copy_only=False)
-        kind = g.column("kind").to_numpy(zero_copy_only=False)
-        order = np.lexsort((kind, b, k))  # pendings before summaries per b
-        ks, bs, ts, kd = k[order], b[order], t[order], kind[order]
-        starts, ends = group_slices([ks])
-        li_out, ts_out = [], []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            summ = kd[s:e] == 2
-            pend = ~summ
-            if not summ.any() or not pend.any():
-                continue
-            sb, st = bs[s:e][summ], ts[s:e][summ]
-            o2 = np.argsort(sb, kind="stable")
-            sb, st = sb[o2], st[o2]
-            pmax = np.maximum.accumulate(st)
-            pb = bs[s:e][pend]
-            pos = np.searchsorted(sb, pb, side="left") - 1  # bucket < pb
-            ok = pos >= 0
-            if ok.any():
-                li_out.append(order[s:e][pend][ok])
-                ts_out.append(pmax[pos[ok]])
-        if not li_out:
-            return empty
-        take = pa.array(np.concatenate(li_out), pa.int64())
-        cols = {c: g.column(f"l_{c}").take(take) for c in left_cols}
-        cols[out_ts] = pa.array(np.concatenate(ts_out), pa.int64()).cast(
-            pa.timestamp("us")
-        )
-        return pa.table(cols)
-
-    mid = sorted_group_apply(
-        tagged.map_batches(add_bucket, batch_format="pyarrow"),
-        ["k", "b"],
-        merge1,
-    ).materialize()  # consumed twice below; sized like the join output
-
-    def finals(t: pa.Table) -> pa.Table:
-        sel = pc.equal(t.column("kind"), 0)
-        cols = {c: t.column(f"l_{c}").filter(sel) for c in left_cols}
-        cols[out_ts] = t.column("asof").filter(sel).cast(pa.timestamp("us"))
-        return pa.table(cols)
-
-    done = mid.map_batches(finals, batch_format="pyarrow")
-    rest = mid.map_batches(
-        lambda t: t.filter(pc.not_equal(t.column("kind"), 0)),
-        batch_format="pyarrow",
+    # both passes read the same materialized blocks, one batch per block
+    srt = tagged.sort(["k", "t", "side"]).materialize()
+    per_block = dict(batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    summaries = srt.map_batches(_block_summary, **per_block).take_all()
+    carries_ref = ray.put(_stitch_carries(summaries))
+    return srt.map_batches(
+        lambda b: _asof_block(b, ray.get(carries_ref), types, left_cols, out_ts),
+        **per_block,
     )
-    late = sorted_group_apply(rest, ["k"], merge2)
-    return done.union(late)
 
 
 def band_join_count(
@@ -315,24 +219,14 @@ def band_join_count(
     lo_offset_us: int,
     hi_offset_us: int,
     out: str = "n",
-    salt_width_us: int | None = None,
 ):
     """Band (range) join, aggregated: for each left row, the COUNT of
     right rows with the same key and right_ts in
     ``[left_ts + lo_offset, left_ts + hi_offset]`` (inclusive); rows
-    with zero matches are dropped (inner semantics).  Same co-group
-    composition as asof_join — one hash exchange, per-group vectorized
-    interval counting via two searchsorted passes.
-
-    `salt_width_us` — HOT-KEY SALTING: groups become (key, left-bucket);
-    each right row replicates to every bucket whose lefts could see it
-    (bucket width is floored at the window span, so the fan-out is at
-    most 2×).  Every candidate (left, right) pair lands in exactly one
-    group — the left's own bucket — so counts are exact, no merge phase
-    needed; output is identical to the unsalted plan."""
+    with zero matches are dropped (inner semantics).  One sort by key
+    (`sorted_group_apply`), then per-group vectorized interval counting
+    via two searchsorted passes."""
     if hi_offset_us < lo_offset_us:
-        # fail fast with a clear error: the unsalted path would silently
-        # return empty while the salted path crashes in np.repeat
         raise ValueError(
             f"empty band: hi_offset_us ({hi_offset_us}) < lo_offset_us "
             f"({lo_offset_us})"
@@ -341,72 +235,38 @@ def band_join_count(
         left, right, left_key, right_key, left_ts, right_ts, left_cols
     )
 
-    def make_merge(key_cols: list[str]):
-        """Multi-group band count over a key-sorted table: one lexsort
-        by (keys, side, t) — each group's rights form a sorted t-prefix
-        — then per-group searchsorted interval counts via changepoint
-        slices (single-side and singleton groups never reach Python)."""
+    def merge(g: pa.Table) -> pa.Table:
+        """Multi-key band count over a key-sorted table: one lexsort by
+        (k, side, t) — each key's rights form a sorted t-prefix — then
+        per-key searchsorted interval counts via changepoint slices
+        (single-side and singleton keys never reach Python)."""
+        if g.num_rows == 0:
+            return _empty_result(types, left_cols, out, pa.int64())
+        k = g.column("k").to_numpy(zero_copy_only=False)
+        t = g.column("t").to_numpy(zero_copy_only=False)
+        side = g.column("side").to_numpy(zero_copy_only=False)
+        order = np.lexsort((t, side, k))
+        ss, ts = side[order], t[order]
+        starts, ends = group_slices([k[order]])
+        li_out, n_out = [], []
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            nr = int(np.searchsorted(ss[s:e], 1))  # rights sort first
+            if nr == 0 or nr == e - s:
+                continue
+            rts = ts[s : s + nr]
+            lts = ts[s + nr : e]
+            cnt = np.searchsorted(
+                rts, lts + hi_offset_us, side="right"
+            ) - np.searchsorted(rts, lts + lo_offset_us, side="left")
+            ok = cnt > 0
+            if ok.any():
+                li_out.append(order[s + nr : e][ok])
+                n_out.append(cnt[ok])
+        if not li_out:
+            return _empty_result(types, left_cols, out, pa.int64())
+        take = pa.array(np.concatenate(li_out), pa.int64())
+        cols = {c: g.column(f"l_{c}").take(take) for c in left_cols}
+        cols[out] = pa.array(np.concatenate(n_out), type=pa.int64())
+        return pa.table(cols)
 
-        def merge(g: pa.Table) -> pa.Table:
-            if g.num_rows == 0:
-                return _empty_result(types, left_cols, out, pa.int64())
-            keys = [
-                g.column(c).to_numpy(zero_copy_only=False) for c in key_cols
-            ]
-            t = g.column("t").to_numpy(zero_copy_only=False)
-            side = g.column("side").to_numpy(zero_copy_only=False)
-            order = np.lexsort((t, side, *reversed(keys)))
-            ss, ts = side[order], t[order]
-            starts, ends = group_slices([k[order] for k in keys])
-            li_out, n_out = [], []
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                sd = ss[s:e]
-                nr = int(np.searchsorted(sd, 1))  # rights sort first
-                if nr == 0 or nr == e - s:
-                    continue
-                rts = ts[s : s + nr]
-                lts = ts[s + nr : e]
-                cnt = np.searchsorted(
-                    rts, lts + hi_offset_us, side="right"
-                ) - np.searchsorted(rts, lts + lo_offset_us, side="left")
-                ok = cnt > 0
-                if ok.any():
-                    li_out.append(order[s + nr : e][ok])
-                    n_out.append(cnt[ok])
-            if not li_out:
-                return _empty_result(types, left_cols, out, pa.int64())
-            take = pa.array(np.concatenate(li_out), pa.int64())
-            cols = {c: g.column(f"l_{c}").take(take) for c in left_cols}
-            cols[out] = pa.array(np.concatenate(n_out), type=pa.int64())
-            return pa.table(cols)
-
-        return merge
-
-    if salt_width_us is None:
-        return sorted_group_apply(tagged, ["k"], make_merge(["k"]))
-
-    w = np.int64(max(int(salt_width_us), int(hi_offset_us - lo_offset_us), 1))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        t = batch.column("t").to_numpy(zero_copy_only=False)
-        side = batch.column("side").to_numpy(zero_copy_only=False)
-        if batch.num_rows == 0:
-            return batch.append_column("b", pa.array([], pa.int64()))
-        # left rows live in their own bucket; right rows replicate to
-        # every bucket of a left that could count them:
-        # lt in [rt - hi, rt - lo]  =>  bucket range of that interval
-        b_lo = np.where(side == 1, t // w, (t - hi_offset_us) // w)
-        b_hi = np.where(side == 1, t // w, (t - lo_offset_us) // w)
-        reps = (b_hi - b_lo + 1).astype(np.int64)
-        idx = np.repeat(np.arange(batch.num_rows, dtype=np.int64), reps)
-        excl = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        intra = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(excl, reps)
-        buckets = np.repeat(b_lo, reps) + intra
-        rep = batch.take(pa.array(idx))
-        return rep.append_column("b", pa.array(buckets, pa.int64()))
-
-    return sorted_group_apply(
-        tagged.map_batches(add_bucket, batch_format="pyarrow"),
-        ["k", "b"],
-        make_merge(["k", "b"]),
-    )
+    return sorted_group_apply(tagged, ["k"], merge)

@@ -124,11 +124,10 @@ class _Remapper:
     """Picklable per-batch remap kernel; the mapping arrays ride the
     closure via ray.put so they ship to each actor once, not per batch."""
 
-    def __init__(self, old_ref, new_ref, col: str, strict: bool):
+    def __init__(self, old_ref, new_ref, col: str):
         self.old_ref = old_ref
         self.new_ref = new_ref
         self.col = col
-        self.strict = strict
         self._lut = None  # built lazily once per worker
 
     def _mapper(self):
@@ -152,21 +151,20 @@ class _Remapper:
         if kind == "dense":
             lo, dense = a, b
             shifted = vals.astype(np.int64, copy=False) - lo
-            oob = (shifted < 0) | (shifted >= len(dense))
-            if oob.any():
-                shifted = np.where(oob, 0, shifted)
-            out = dense[shifted]
-            if oob.any():
-                out[oob] = -1  # matches dense's in-span miss sentinel
+            if len(shifted) and (shifted.min() < 0 or shifted.max() >= len(dense)):
+                raise ValueError("value outside the remap vocabulary")
+            out = dense[shifted]  # -1 marks an in-span miss
         else:
             old, new = a, b
+            if len(vals) and not len(old):
+                raise ValueError("value outside the remap vocabulary")
             idx = np.searchsorted(old, vals)
             idx[idx >= len(old)] = 0
             hit = old[idx] == vals
-            if self.strict and not hit.all():
+            if not hit.all():
                 raise ValueError("value outside the remap vocabulary")
-            out = np.where(hit, new[idx], -1)
-        if self.strict and len(out) and out.min() < 0:
+            out = new[idx]
+        if len(out) and out.min() < 0:
             raise ValueError("value outside the remap vocabulary")
         return out
 
@@ -192,15 +190,15 @@ class _Remapper:
 
 
 def remap_column(ds, old_ids: np.ndarray, new_ids: np.ndarray,
-                 col: str = "tokens", strict: bool = True):
+                 col: str = "tokens"):
     """Rewrite `col` (int or list<int>) through the old→new mapping.
     Mapping is broadcast once (`ray.put`); each batch is one LUT gather.
-    strict=True raises on ids missing from the mapping (a frequency
-    pass over different data); strict=False maps them to -1."""
+    Raises on ids missing from the mapping (a frequency pass over
+    different data)."""
     import ray
 
     return ds.map_batches(
-        _Remapper(ray.put(old_ids), ray.put(new_ids), col, strict),
+        _Remapper(ray.put(old_ids), ray.put(new_ids), col),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )

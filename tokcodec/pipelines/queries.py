@@ -1487,8 +1487,10 @@ def join_revenue_by_nation(sf_dir: str):
     `_BROADCAST_MAX_ROWS` (same contract as join_lineitem_orders: above
     it a broadcast join is the wrong plan) and shipped via ray.put ONCE
     — read zero-copy from local plasma per task, never re-pickled into
-    a per-task closure.  The fact table never shuffles for the join;
-    only O(blocks × |nations|) partial rows move for the aggregate.
+    a per-task closure.  Both probes are pc.index_in + pc.take (null on
+    a miss), as in join_lineitem_orders.  The fact table never shuffles
+    for the join; only O(blocks × |nations|) partial rows move for the
+    aggregate.
     Revenue is integer-exact (cents × discount-percent) so float
     summation order can't break the driver's value hash.  Rounding is
     floor(x*100 + 0.5) — half-away-from-zero on the non-negative TPC-H
@@ -1498,39 +1500,25 @@ def join_revenue_by_nation(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    nat = pqt.read_table(os.path.join(sf_dir, "nation.parquet")).to_pandas()
-    reg = pqt.read_table(os.path.join(sf_dir, "region.parquet")).to_pandas()
-    asia = set(reg.loc[reg["r_name"] == "ASIA", "r_regionkey"])
-    nat = nat[nat["n_regionkey"].isin(asia)]
-    nkeys_drv = nat["n_nationkey"].to_numpy().astype(np.int64)
-    norder = np.argsort(nkeys_drv)
+    nat = pqt.read_table(os.path.join(sf_dir, "nation.parquet"))
+    reg = pqt.read_table(os.path.join(sf_dir, "region.parquet"))
+    asia = reg.filter(pc.equal(reg.column("r_name"), "ASIA")).column("r_regionkey")
+    nat = nat.filter(pc.is_in(nat.column("n_regionkey"), value_set=asia.combine_chunks()))
     nmap_ref = ray.put(
-        (nkeys_drv[norder], nat["n_name"].to_numpy().astype(object)[norder])
+        (nat.column("n_nationkey").combine_chunks(), nat.column("n_name").combine_chunks())
     )
+    lut_schema = pa.schema([("s_suppkey", pa.int64()), ("n_name", pa.string())])
 
     def _fold_sup(t: pa.Table) -> pa.Table:
         nkeys, nnames = ray.get(nmap_ref)
-        if len(nkeys) == 0:
-            return pa.table(
-                {
-                    "s_suppkey": pa.array([], pa.int64()),
-                    "n_name": pa.array([], pa.string()),
-                }
-            )
-        nk = t.column("s_nationkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(nkeys, nk)
-        ok = (pos < len(nkeys)) & (nkeys[np.minimum(pos, len(nkeys) - 1)] == nk)
+        name = pc.take(nnames, pc.index_in(t.column("s_nationkey"), value_set=nkeys))
+        ok = pc.is_valid(name)  # null where the nation is not in ASIA
         return pa.table(
-            {
-                "s_suppkey": pa.array(
-                    t.column("s_suppkey").to_numpy(zero_copy_only=False)[ok],
-                    pa.int64(),
-                ),
-                "n_name": pa.array(nnames[pos[ok]].tolist(), pa.string()),
-            }
+            [t.column("s_suppkey").filter(ok).cast(pa.int64()), name.filter(ok)],
+            schema=lut_schema,
         )
 
-    lut_parts, lut_rows = [], 0
+    lut_parts, lut_rows = [lut_schema.empty_table()], 0
     for part in _rp(
         sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]
     ).map_batches(_fold_sup, batch_format="pyarrow").iter_batches(
@@ -1543,20 +1531,9 @@ def join_revenue_by_nation(sf_dir: str):
                 "use a hash-partitioned shuffle join instead"
             )
         lut_parts.append(part)
-    lut = (
-        pa.concat_tables(lut_parts)
-        if lut_parts
-        else pa.table(
-            {"s_suppkey": pa.array([], pa.int64()), "n_name": pa.array([], pa.string())}
-        )
-    )
-    skeys = lut.column("s_suppkey").to_numpy(zero_copy_only=False)
-    order = np.argsort(skeys)
+    lut = pa.concat_tables(lut_parts)
     lut_ref = ray.put(
-        (
-            skeys[order],
-            lut.column("n_name").to_numpy(zero_copy_only=False)[order],
-        )
+        (lut.column("s_suppkey").combine_chunks(), lut.column("n_name").combine_chunks())
     )
 
     ds = _rp(
@@ -1565,26 +1542,15 @@ def join_revenue_by_nation(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         keys, names = ray.get(lut_ref)
-        empty = pa.table(
-            {"n_name": pa.array([], pa.string()), "pr": pa.array([], pa.int64())}
-        )
-        if len(keys) == 0:  # no ASIA suppliers at all: empty join result
-            return empty
-        sk = t.column("l_suppkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, sk)
-        ok = (pos < len(keys)) & (keys[np.minimum(pos, len(keys) - 1)] == sk)
-        if not ok.any():
-            return empty
-        price = t.column("l_extendedprice").to_numpy(zero_copy_only=False)[ok]
-        disc = t.column("l_discount").to_numpy(zero_copy_only=False)[ok]
+        name = pc.take(names, pc.index_in(t.column("l_suppkey"), value_set=keys))
+        ok = pc.is_valid(name)  # null where the supplier is not in ASIA
+        price = t.column("l_extendedprice").filter(ok).to_numpy()
+        disc = t.column("l_discount").filter(ok).to_numpy()
         rev = np.floor(price * 100 + 0.5).astype(np.int64) * (
             100 - np.floor(disc * 100 + 0.5).astype(np.int64)
         )
         g = pa.table(
-            {
-                "n_name": pa.array(names[pos[ok]].tolist(), pa.string()),
-                "pr": pa.array(rev, pa.int64()),
-            }
+            {"n_name": name.filter(ok), "pr": pa.array(rev, pa.int64())}
         ).group_by("n_name").aggregate([("pr", "sum")])
         return pa.table({"n_name": g.column("n_name"), "pr": g.column("pr_sum")})
 
